@@ -7,12 +7,12 @@ odd color of a vertex is used whenever a canonical choice is needed.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
-from .graph import Edge, Graph, norm_edge
-from .embedding import OnePlanarDrawing, build_associated_plane_graph
+from .graph import Edge, Graph, bridges_of
+from .embedding import OnePlanarDrawing, _rebuild_subdrawing, build_associated_plane_graph
 from .structure import easy_vertices
 
 
@@ -93,6 +93,9 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
     Colors are capped at one more than the number already in use, which
     cuts color-permutation symmetry.
 
+    Isolated vertices sort last and take color 1 with no search node or
+    frame, so the recursion depth is the number of non-isolated vertices.
+
     ``max_nodes`` bounds the number of search-tree nodes; the search
     raises ``SearchBudgetExceeded`` when the budget runs out.
     """
@@ -110,10 +113,11 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
         return any(cnt % 2 == 1 for cnt in counts.values())
 
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    searched = sum(1 for v in range(n) if adj[v])
 
     def solve(colored_count: int, max_used: int) -> bool:
         nonlocal nodes
-        if colored_count == n:
+        if colored_count == searched:
             return True
         v = order[colored_count]
         banned = {color[u] for u in adj[v] if color[u]}
@@ -139,8 +143,8 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
                 uncolored_nbrs[u] += 1
         return False
 
-    if solve(0, 0):
-        assign = {v: color[v] for v in range(n)}
+    if solve(0, 0) and (k >= 1 or searched == n):  # isolated vertices need color 1
+        assign = {v: color[v] or 1 for v in range(n)}
         c = Coloring.of(g, assign, k=k)
         rep = verify_odd_coloring(g, c)
         assert rep.valid, "search returned an invalid coloring"
@@ -185,16 +189,6 @@ def forbidden_color_bound(g: Graph, c: Coloring, v: int, easy: set[int]) -> int:
     return n_easy + 2 * (len(nbrs) - n_easy)
 
 
-def _odd_set_partial(g: Graph, assign: dict[int, int], v: int) -> set[int]:
-    """Odd colors of v counting only colored neighbors."""
-    counts: dict[int, int] = {}
-    for u in g.neighbors(v):
-        a = assign.get(u)
-        if a is not None:
-            counts[a] = counts.get(a, 0) + 1
-    return {col for col, cnt in counts.items() if cnt % 2 == 1}
-
-
 def extend_at_vertex(g: Graph, c: Coloring, v: int, k: int) -> Coloring | None:
     """Extend an odd k-coloring of g - v to all of g.
 
@@ -202,7 +196,9 @@ def extend_at_vertex(g: Graph, c: Coloring, v: int, k: int) -> Coloring | None:
     one color, each other neighbor two; if v then lacks an odd color, a
     single low-degree vertex near v is recolored to repair parity.
     Returns a fully verified coloring, or None when no sanctioned
-    combination works (reported, not fatal).
+    combination works (reported, not fatal).  This is ``_extend``, the
+    kernel the reduction colorer runs at every level, with each trial
+    verified in full: c need not be odd on g - v.
     """
     nbrs = g.neighbors(v)
     if any(u not in c.assign for u in nbrs):
@@ -210,56 +206,162 @@ def extend_at_vertex(g: Graph, c: Coloring, v: int, k: int) -> Coloring | None:
     base = dict(c.assign)
     base.pop(v, None)
     if not nbrs:
-        out = dict(base)
-        out[v] = 1
-        return Coloring.of(g, out, k=k)
+        return Coloring.of(g, {**base, v: 1}, k=k)
+    if any(x not in base for x in range(g.n) if x != v):
+        return None  # uncolored vertices fail verification whatever v gets
+    color = [base.get(x, 1) for x in range(g.n)]
 
-    easy = easy_vertices(g)
+    def verified(adj: list[set[int]], color: list[int], touched: Iterable[int]) -> bool:
+        return verify_odd_coloring(g, Coloring.of(g, dict(enumerate(color)), k=k)).valid
+
+    if not _extend([set(a) for a in g.adj], color, v, k, verified):
+        return None
+    return Coloring.of(g, dict(enumerate(color)), k=k)
+
+
+# ---------------------------------------------------------------------------
+# local checks and kernels of the reduction colorer
+#
+# They work on a mutable adjacency (one neighbor set per vertex) and a color
+# list indexed by vertex.  Recoloring t, or adding or removing edges at t,
+# can break only the properness of the edges at t, the parity at t and the
+# parities at the neighbors of t.  So when a coloring was odd before such a
+# change, checking those constraints decides whether it is odd after it.
+
+
+def _odd_mask(adj: list[set[int]], color: list[int], x: int, skip: int = -1) -> int:
+    """Bit c is set iff color c appears an odd number of times on N(x) - skip."""
+    mask = 0
+    for y in adj[x]:
+        if y != skip:
+            mask ^= 1 << color[y]
+    return mask
+
+
+def _valid_near(adj: list[set[int]], color: list[int], touched: Iterable[int]) -> bool:
+    """Whether every constraint a change at the touched vertices can break holds."""
+    for t in touched:
+        ct = color[t]
+        if any(color[y] == ct for y in adj[t]):
+            return False
+        if any(adj[x] and not _odd_mask(adj, color, x) for x in (t, *adj[t])):
+            return False
+    return True
+
+
+def _is_easy(adj: list[set[int]], w: int) -> bool:
+    """``easy_vertices`` membership with its default 13-color thresholds."""
+    dw = len(adj[w])
+    return dw <= 6 or dw % 2 == 1 or any(len(adj[u]) <= 6 for u in adj[w])
+
+
+def _extend(
+    adj: list[set[int]],
+    color: list[int],
+    v: int,
+    k: int,
+    valid: Callable[[list[set[int]], list[int], Iterable[int]], bool] = _valid_near,
+) -> bool:
+    """Color v, whose edges are in adj, given an odd k-coloring of the rest.
+
+    Colors no neighbor forbids go first (an easy neighbor w forbids its
+    least odd color when d(w) <= 6 and it has one, else its own color;
+    any other neighbor forbids both).  Each color is tried alone, then
+    with one recolored repair target at a time, until ``valid`` accepts
+    the change at the touched vertices.  On success color is odd on the
+    whole graph; on failure it is left as it was.
+    """
+    nbrs = sorted(adj[v])
     forbidden: set[int] = set()
     for w in nbrs:
-        phi = base[w]
-        odd = _odd_set_partial(g, base, w)
-        if w in easy:
-            if g.degree(w) % 2 == 1 and g.degree(w) >= 7:
-                forbidden.add(phi)
-            elif g.degree(w) <= 6:
-                forbidden.add(min(odd) if odd else phi)
-            else:
-                forbidden.add(phi)
+        odd = _odd_mask(adj, color, w, skip=v)
+        least_odd = (odd & -odd).bit_length() - 1
+        if _is_easy(adj, w):
+            forbidden.add(least_odd if odd and len(adj[w]) <= 6 else color[w])
         else:
-            forbidden.add(phi)
+            forbidden.add(color[w])
             if odd:
-                forbidden.add(min(odd))
-    proper_banned = {base[w] for w in nbrs}
-    candidates = [a for a in range(1, k + 1) if a not in proper_banned]
+                forbidden.add(least_odd)
+    banned = {color[w] for w in nbrs}
+    candidates = [a for a in range(1, k + 1) if a not in banned]
     candidates.sort(key=lambda a: (a in forbidden, a))
 
-    repair_targets: list[int] = []
-    for w in nbrs:
-        if g.degree(w) <= 6:
-            repair_targets.append(w)
-    for w in nbrs:
-        for w2 in g.neighbors(w):
-            if w2 != v and g.degree(w2) <= 6 and w2 not in repair_targets:
-                repair_targets.append(w2)
-
+    old_v = color[v]
+    targets = None
     for a in candidates:
-        trial = dict(base)
-        trial[v] = a
-        cand = Coloring.of(g, trial, k=k)
-        if verify_odd_coloring(g, cand).valid:
-            return cand
-        for r in repair_targets:
-            old = trial[r]
+        color[v] = a
+        if valid(adj, color, (v,)):
+            return True
+        if targets is None:
+            targets = _repair_targets(adj, v, nbrs)
+        for r in targets:
+            old = color[r]
             for b in range(1, k + 1):
-                if b == old:
-                    continue
-                trial[r] = b
-                cand = Coloring.of(g, trial, k=k)
-                if verify_odd_coloring(g, cand).valid:
-                    return cand
-            trial[r] = old
-    return None
+                if b != old:
+                    color[r] = b
+                    if valid(adj, color, (v, r)):
+                        return True
+            color[r] = old
+    color[v] = old_v
+    return False
+
+
+def _repair_targets(adj: list[set[int]], v: int, nbrs: list[int]) -> list[int]:
+    """Vertices of degree <= 6 in N(v), then in N(N(v)) - v, in id order."""
+    out = [w for w in nbrs if len(adj[w]) <= 6]
+    seen = set(out)
+    for w in nbrs:
+        for w2 in sorted(adj[w]):
+            if w2 != v and len(adj[w2]) <= 6 and w2 not in seen:
+                seen.add(w2)
+                out.append(w2)
+    return out
+
+
+def _swap_bits(mask: int, a: int, b: int) -> int:
+    """mask with bits a and b exchanged."""
+    if ((mask >> a) ^ (mask >> b)) & 1:
+        mask ^= (1 << a) | (1 << b)
+    return mask
+
+
+def _bridge_colors(
+    adj: list[set[int]], color: list[int], u: int, v: int, k: int
+) -> Iterator[tuple[int, int]]:
+    """Colors (a, b) for the ends of bridge uv, absent from adj, that work.
+
+    Exchanging a with u's color on u's side, and b with v's color on v's
+    side, permutes the colors of each side, which keeps it odd.  Once the
+    bridge is back, u sees its old odd colors, exchanged, plus b, and v
+    likewise; a != b keeps uv proper.  So only the parities at u and v
+    can fail, and the pairs are checked on them alone, in order.
+    """
+    odd_u = _odd_mask(adj, color, u)
+    odd_v = _odd_mask(adj, color, v)
+    for a in range(1, k + 1):
+        seen_by_u = _swap_bits(odd_u, a, color[u])
+        for b in range(1, k + 1):
+            if b != a and seen_by_u != 1 << b and _swap_bits(odd_v, b, color[v]) != 1 << a:
+                yield a, b
+
+
+def _exchange(adj: list[set[int]], color: list[int], s: int, a: int) -> None:
+    """Exchange color a with the color of s on the component of s."""
+    c = color[s]
+    if a == c:
+        return
+    seen = {s}
+    stack = [s]
+    while stack:
+        x = stack.pop()
+        if color[x] == a:
+            color[x] = c
+        elif color[x] == c:
+            color[x] = a
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
 
 
 # ---------------------------------------------------------------------------
@@ -276,55 +378,110 @@ class ReductionResult:
         return self.coloring is not None
 
 
-def _active_vertices(g: Graph) -> list[int]:
-    return [v for v in range(g.n) if g.adj[v]]
+class _Peel:
+    """The graph of the colorer's current level, changed in place.
 
-
-def _merge_over_bridge(
-    g: Graph, assign: dict[int, int], u: int, v: int, k: int
-) -> dict[int, int] | None:
-    """Re-join two components over bridge uv by color exchanges.
-
-    Tries the color-exchange recipe from the 2-edge-connectivity reduction:
-    rename colors within each side so that u and v end up properly and
-    oddly colored once the bridge is restored.  The full graph g already
-    contains the bridge; assign is valid for g minus the bridge.
+    Holds neighbor sets, the number of non-isolated vertices, a heap of
+    (degree, vertex) with stale entries skipped lazily, and the bridges
+    (None until computed for the current graph).
     """
-    g_cut = g.without_edge(u, v)
-    comp_u = next(comp for comp in g_cut.components() if u in comp)
-    comp_v = next(comp for comp in g_cut.components() if v in comp)
-    if comp_u is comp_v or v in comp_u:
-        raise ValueError(f"edge ({u}, {v}) is not a bridge")
 
-    def swapped(side: set[int], a: int, b: int, cur: dict[int, int]) -> dict[int, int]:
-        if a == b:
-            return cur
-        out = dict(cur)
-        for x in side:
-            if out.get(x) == a:
-                out[x] = b
-            elif out.get(x) == b:
-                out[x] = a
-        return out
+    def __init__(self, g: Graph) -> None:
+        self.adj = [set(a) for a in g.adj]
+        self.active = sum(1 for a in self.adj if a)
+        self.bridges: set[Edge] | None = None
+        self.reheap()
 
-    for a in range(1, k + 1):
-        trial1 = swapped(comp_u, a, assign[u], assign)
-        for a2 in range(1, k + 1):
-            if a2 == a:
-                continue
-            trial2 = swapped(comp_v, a2, trial1[v], trial1)
-            cand = Coloring.of(g, trial2, k=k)
-            if verify_odd_coloring(g, cand).valid:
-                return trial2
-    return None
+    def reheap(self) -> None:
+        self.heap = [(len(a), v) for v, a in enumerate(self.adj) if a]
+        heapq.heapify(self.heap)
+
+    def least_degree(self) -> tuple[int, int] | None:
+        """(degree, vertex) of the non-isolated vertex of least degree, then id.
+
+        Valid while degrees only fall, that is while peeling; after edges
+        come back, ``reheap`` first.
+        """
+        heap, adj = self.heap, self.adj
+        while heap and heap[0][0] != len(adj[heap[0][1]]):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def _drop(self, x: int, y: int) -> None:
+        ax = self.adj[x]
+        ax.discard(y)
+        if ax:
+            heapq.heappush(self.heap, (len(ax), x))
+        else:
+            self.active -= 1
+
+    def _add(self, x: int, y: int) -> None:
+        if not self.adj[x]:
+            self.active += 1
+        self.adj[x].add(y)
+
+    def cut_vertex(self, v: int) -> set[int]:
+        """Remove the edges at v and return its former neighbors.
+
+        An edge that becomes a bridge when v leaves a bridgeless graph lay
+        on a cycle through v, so it separates two former neighbors of v.
+        When those neighbors alone span a connected bridgeless subgraph, no
+        edge separates them and the graph stays bridgeless; otherwise the
+        bridges are recomputed when next needed.
+        """
+        nbrs = self.adj[v]
+        self.adj[v] = set()
+        self.active -= 1
+        for w in nbrs:
+            self._drop(w, v)
+        if not (self.bridges == set() and _spans_bridgeless(self.adj, nbrs)):
+            self.bridges = None
+        return nbrs
+
+    def restore_vertex(self, v: int, nbrs: set[int]) -> None:
+        self.active += 1
+        self.adj[v] = nbrs
+        for w in nbrs:
+            self._add(w, v)
+
+    def cut_edge(self, u: int, v: int) -> None:
+        """Remove bridge uv; the other bridges stay bridges, and no new ones appear."""
+        self._drop(u, v)
+        self._drop(v, u)
+        self.bridges.discard((u, v))
+
+    def restore_edge(self, u: int, v: int) -> None:
+        self._add(u, v)
+        self._add(v, u)
+
+    def graph(self) -> Graph:
+        pairs = [(u, w) for u, a in enumerate(self.adj) for w in a if u < w]
+        return Graph.from_edge_list(pairs, n=len(self.adj))
 
 
-def _pick_reducible(
-    d: OnePlanarDrawing, g: Graph, active: list[int]
-) -> list[tuple[int, str]]:
-    """Reducible vertices in priority order, with the firing detector name."""
+def _spans_bridgeless(adj: list[set[int]], vertices: set[int]) -> bool:
+    """Whether the subgraph induced on ``vertices`` is connected and bridgeless."""
+    order = list(vertices)
+    index = {x: i for i, x in enumerate(order)}
+    local = [[index[y] for y in adj[x] if y in index] for x in order]
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in local[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(order) and not bridges_of(local)
+
+
+def _pick_reducible(d: OnePlanarDrawing, g: Graph) -> list[tuple[int, str]]:
+    """Reducible vertices of g, a subgraph of d.base, in priority order.
+
+    Each comes with the name of the detector that fired.  The face778
+    detector planarizes d restricted to the edges of g.
+    """
     out: list[tuple[int, str]] = []
-    by_degree = sorted(active, key=g.degree)
+    by_degree = sorted((v for v in range(g.n) if g.adj[v]), key=g.degree)
     for v in by_degree:
         if g.degree(v) <= 6:
             out.append((v, "6minus"))
@@ -337,7 +494,7 @@ def _pick_reducible(
                 out.append((v, "lemma4"))
     if not out:
         try:
-            apg = build_associated_plane_graph(d)
+            apg = build_associated_plane_graph(_rebuild_subdrawing(d, set(g.edges)))
         except ValueError:
             return out
         for i, f in enumerate(apg.faces):
@@ -352,74 +509,112 @@ def _pick_reducible(
 
 
 def color_by_reduction(
-    d: OnePlanarDrawing,
-    k: int = 13,
-    exact_limit: int = 20,
-    _trace: list[str] | None = None,
+    d: OnePlanarDrawing, k: int = 13, exact_limit: int = 20
 ) -> ReductionResult:
     """Best-effort odd k-coloring driven by the reducibility detectors.
 
-    Peels reducible vertices, colors the remainder, then extends back one
-    vertex at a time; bridges are handled by coloring the two sides and
-    merging with color exchanges.  Falls back to exact search once at most
-    ``exact_limit`` non-isolated vertices remain, and to greedy-with-repair
-    beyond that.  Whatever is returned has passed the verifier.
+    One loop over an explicit peel stack, on a graph changed in place.
+    Descending, each level removes the smallest bridge if there is one,
+    else the first reducible vertex (the least-degree vertex when its
+    degree is at most 6, so the full detector list is built only when
+    needed), until at most ``exact_limit`` non-isolated vertices remain
+    and exact search colors them.  Unwinding, each vertex is colored by
+    ``_extend`` and each bridge merged by color exchanges on its two
+    sides, both checked only where the change can break the coloring.
+    When an extension fails, the next of the level's first four detector
+    hits is peeled instead and the descent starts again from that level;
+    after four failures, or with no hit at all, the level is colored by
+    greedy search with repair.  The trace records every step, and the
+    result has passed one full verification at the end.
     """
-    trace = _trace if _trace is not None else []
     g = d.base
-    active = _active_vertices(g)
+    peel = _Peel(g)
+    color = [1] * g.n
+    trace: list[str] = []
+    # frames: ("bridge", u, v) or ("vertex", v, former neighbors, detector hits or None, index)
+    stack: list[tuple] = []
 
-    def finish(assign: dict[int, int]) -> ReductionResult:
-        for v in range(g.n):
-            assign.setdefault(v, 1)
-        c = Coloring.of(g, assign, k=k)
-        if not verify_odd_coloring(g, c).valid:
-            trace.append("final verification failed")
-            return ReductionResult(None, trace)
-        return ReductionResult(c, trace)
+    def peel_vertex(v: int, why: str, hits: list | None, i: int) -> None:
+        trace.append(f"reduce vertex {v} ({why}, degree {len(peel.adj[v])})")
+        stack.append(("vertex", v, peel.cut_vertex(v), hits, i))
 
-    if len(active) <= exact_limit:
-        trace.append(f"exact search on {len(active)} active vertices")
-        c = find_odd_coloring(g, k)
-        if c is None:
-            trace.append(f"no odd {k}-coloring exists on the remainder")
-            return ReductionResult(None, trace)
-        return finish(dict(c.assign))
+    def greedy() -> bool:
+        trace.append(f"greedy with repair on {peel.active} vertices")
+        assign = _greedy_with_repair(peel.graph(), k)
+        if assign is None:
+            trace.append("greedy repair failed")
+            return False
+        color[:] = [assign[x] for x in range(g.n)]
+        return True
 
-    bridges = g.bridges()
-    if bridges:
-        u, v = sorted(bridges)[0]
-        trace.append(f"bridge ({u}, {v}): split and merge")
-        sub = color_by_reduction(d.without_edge(u, v), k, exact_limit, trace)
-        if not sub.ok:
-            return ReductionResult(None, trace)
-        merged = _merge_over_bridge(g, dict(sub.coloring.assign), u, v, k)
-        if merged is None:
-            trace.append(f"bridge merge failed at ({u}, {v})")
-            return ReductionResult(None, trace)
-        return finish(merged)
+    def descend() -> bool:
+        """Peel down to a leaf and color it; False when that fails."""
+        while True:
+            if peel.active <= exact_limit:
+                trace.append(f"exact search on {peel.active} active vertices")
+                c = find_odd_coloring(peel.graph(), k)
+                if c is None:
+                    trace.append(f"no odd {k}-coloring exists on the remainder")
+                    return False
+                color[:] = [c.assign[x] for x in range(g.n)]
+                return True
+            if peel.bridges is None:
+                peel.bridges = bridges_of(peel.adj)
+            if peel.bridges:
+                u, v = min(peel.bridges)
+                trace.append(f"bridge ({u}, {v}): split and merge")
+                peel.cut_edge(u, v)
+                stack.append(("bridge", u, v))
+                continue
+            least = peel.least_degree()
+            if least is not None and least[0] <= 6:
+                peel_vertex(least[1], "6minus", None, 0)
+                continue
+            hits = _pick_reducible(d, peel.graph())[:4]
+            if not hits:
+                return greedy()
+            peel_vertex(*hits[0], hits, 0)
 
-    candidates = _pick_reducible(d, g, active)
-    for v, why in candidates[:4]:
-        trace.append(f"reduce vertex {v} ({why}, degree {g.degree(v)})")
-        sub = color_by_reduction(d.without_vertex(v), k, exact_limit, trace)
-        if not sub.ok:
-            return ReductionResult(None, trace)
-        ext = extend_at_vertex(g, sub.coloring, v, k)
-        if ext is not None:
-            return finish(dict(ext.assign))
+    ok = descend()
+    while ok and stack:
+        frame = stack.pop()
+        if frame[0] == "bridge":
+            _, u, v = frame
+            ab = next(_bridge_colors(peel.adj, color, u, v, k), None)
+            if ab is None:
+                trace.append(f"bridge merge failed at ({u}, {v})")
+                ok = False
+                break
+            _exchange(peel.adj, color, u, ab[0])
+            _exchange(peel.adj, color, v, ab[1])
+            peel.restore_edge(u, v)
+            continue
+        _, v, nbrs, hits, i = frame
+        peel.restore_vertex(v, nbrs)
+        if _extend(peel.adj, color, v, k):
+            continue
         trace.append(f"extension failed at vertex {v}; trying next detector")
-
-    trace.append(f"greedy with repair on {len(active)} vertices")
-    assign = _greedy_with_repair(g, k)
-    if assign is None:
-        trace.append("greedy repair failed")
+        if hits is None:
+            hits = _pick_reducible(d, peel.graph())[:4]
+        if i + 1 < len(hits):
+            peel.bridges = set()  # a vertex level has no bridges
+            peel.reheap()
+            peel_vertex(*hits[i + 1], hits, i + 1)
+            ok = descend()
+        else:
+            ok = greedy()
+    if not ok:
         return ReductionResult(None, trace)
-    return finish(assign)
+
+    c = Coloring.of(g, dict(enumerate(color)), k=k)
+    if not verify_odd_coloring(g, c).valid:
+        trace.append("final verification failed")
+        return ReductionResult(None, trace)
+    return ReductionResult(c, trace)
 
 
 def _greedy_with_repair(g: Graph, k: int) -> dict[int, int] | None:
-    order = sorted(_active_vertices(g), key=g.degree, reverse=True)
+    order = sorted((v for v in range(g.n) if g.adj[v]), key=g.degree, reverse=True)
     assign: dict[int, int] = {}
     for v in order:
         banned = {assign[u] for u in g.adj[v] if u in assign}

@@ -8,7 +8,7 @@ them).  Graphs are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -108,38 +108,48 @@ class Graph:
 
     def bridges(self) -> set[Edge]:
         """Cut edges, via iterative DFS lowpoint computation."""
-        disc = [-1] * self.n
-        low = [0] * self.n
-        out: set[Edge] = set()
-        timer = 0
-        for root in range(self.n):
-            if disc[root] != -1:
-                continue
-            # stack entries: (vertex, parent, iterator index into adj)
-            stack = [(root, -1, 0)]
-            disc[root] = low[root] = timer
-            timer += 1
-            parent_skipped = [False] * self.n
-            while stack:
-                v, parent, i = stack.pop()
-                if i < len(self.adj[v]):
-                    stack.append((v, parent, i + 1))
-                    w = self.adj[v][i]
-                    if w == parent and not parent_skipped[v]:
-                        # skip the tree edge back to the parent exactly once
-                        parent_skipped[v] = True
-                        continue
-                    if disc[w] == -1:
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, v, 0))
-                    else:
-                        low[v] = min(low[v], disc[w])
-                elif parent != -1:
-                    low[parent] = min(low[parent], low[v])
+        return bridges_of(self.adj)
+
+
+def bridges_of(adj: Sequence[Collection[int]]) -> set[Edge]:
+    """Cut edges of the simple graph with adjacency ``adj``, in O(n + m).
+
+    Iterative Tarjan lowpoints.  Each DFS frame keeps an iterator over its
+    vertex's neighbors; in a simple graph the tree edge back to the parent
+    is the only neighbor equal to the parent, so it is skipped by id.
+    """
+    n = len(adj)
+    disc = [0] * n  # discovery time, from 1; 0 means not yet visited
+    low = [0] * n
+    out: set[Edge] = set()
+    timer = 0
+    for root in range(n):
+        if disc[root] or not adj[root]:
+            continue
+        timer += 1
+        disc[root] = low[root] = timer
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if w == parent:
+                    continue
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    timer += 1
+                    disc[w] = low[w] = timer
+                    stack.append((w, v, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if parent >= 0:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                     if low[v] > disc[parent]:
                         out.add(norm_edge(parent, v))
-        return out
+    return out
 
 
 def parse_edge_list(text: str) -> Graph:

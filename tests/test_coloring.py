@@ -1,9 +1,14 @@
+import contextlib
+import io
 import itertools
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddcolor import cli
 from oddcolor.graph import Graph
 from oddcolor.coloring import (
     Coloring,
@@ -18,13 +23,20 @@ from oddcolor.coloring import (
     odd_color_set,
     parse_coloring,
     verify_odd_coloring,
+    _bridge_colors,
+    _exchange,
+    _is_easy,
+    _valid_near,
 )
+from oddcolor.embedding import drawing_to_json
 from oddcolor.generators import (
     branch_vertices,
     complete_minus_edge,
     cycle,
+    random_one_planar,
     subdivided_complete,
 )
+from oddcolor.structure import easy_vertices
 
 from conftest import plane_c5_drawing
 
@@ -154,6 +166,15 @@ def test_search_budget():
         find_odd_coloring(cycle(7), 4, max_nodes=3)
 
 
+def test_isolated_vertices_take_color_one_without_search():
+    # one search frame per vertex would pass the default recursion limit
+    g = Graph.from_edge_list([(0, 1), (1, 2), (0, 2)], n=1203)
+    c = find_odd_coloring(g, 3, max_nodes=3)  # the triangle alone takes 3 nodes
+    assert c is not None and verify_odd_coloring(g, c).valid
+    assert [c.assign[v] for v in range(3)] == [1, 2, 3]
+    assert all(c.assign[v] == 1 for v in range(3, g.n))
+
+
 def test_branch_vertices_must_get_distinct_colors():
     """Two equal-colored branch vertices starve their middle vertex."""
     g = subdivided_complete(7)
@@ -246,6 +267,87 @@ def test_extend_at_vertex_isolated():
     c = Coloring.of(g, {1: 1, 2: 2}, k=13)
     out = extend_at_vertex(g, c, 0, 13)
     assert out.assign[0] == 1
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return Graph.from_edge_list(pairs, n=n)
+
+
+def test_local_checks_agree_with_full_verification():
+    """Re-adding a vertex, recoloring a repair target, and exchanging colors
+    across a bridge are judged locally exactly as verify_odd_coloring does."""
+    rng = random.Random(7)
+    extensions = bridges = 0
+    for _ in range(60):
+        n, k = rng.randrange(4, 9), rng.randrange(4, 7)
+        g = _random_graph(rng, n, 0.5)
+        assert {w for w in range(n) if _is_easy([set(a) for a in g.adj], w)} == easy_vertices(g)
+        v = rng.randrange(n)
+        base = find_odd_coloring(g.without_vertex(v), k)
+        if base is None:
+            continue
+        adj = [set(a) for a in g.adj]
+        color = [base.assign[x] for x in range(n)]
+        for a in range(1, k + 1):
+            color[v] = a
+            full = verify_odd_coloring(g, Coloring.of(g, dict(enumerate(color)), k=k))
+            assert _valid_near(adj, color, (v,)) == full.valid
+            r = rng.choice([x for x in range(n) if x != v])
+            old = color[r]
+            for b in range(1, k + 1):
+                color[r] = b
+                full = verify_odd_coloring(g, Coloring.of(g, dict(enumerate(color)), k=k))
+                assert _valid_near(adj, color, (v, r)) == full.valid
+                extensions += 1
+            color[r] = old
+
+        # two random sides joined by the bridge uv
+        m = rng.randrange(2, 6)
+        side = _random_graph(rng, m, 0.6)
+        pairs = list(g.edges) + [(x + n, y + n) for x, y in side.edges]
+        u, w = rng.randrange(n), n + rng.randrange(m)
+        cut = Graph.from_edge_list(pairs, n=n + m)
+        joined = Graph.from_edge_list(pairs + [(u, w)], n=n + m)
+        split = find_odd_coloring(cut, k)
+        if split is None:
+            continue
+        adj = [set(a) for a in cut.adj]
+        color = [split.assign[x] for x in range(n + m)]
+        valid_pairs = []
+        for a, b in itertools.permutations(range(1, k + 1), 2):
+            trial = list(color)
+            _exchange(adj, trial, u, a)
+            _exchange(adj, trial, w, b)
+            c = Coloring.of(joined, dict(enumerate(trial)), k=k)
+            if verify_odd_coloring(joined, c).valid:
+                valid_pairs.append((a, b))
+            bridges += 1
+        assert list(_bridge_colors(adj, color, u, w, k)) == valid_pairs
+    assert extensions > 500 and bridges > 500
+
+
+def test_reduction_colorer_needs_no_deep_stack(tmp_path):
+    """Peeling n = 300 vertices takes no stack depth per peeled vertex."""
+    d = random_one_planar(300, seed=4)
+    path = tmp_path / "d.json"
+    path.write_text(drawing_to_json(d))
+    out = io.StringIO()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        res = color_by_reduction(d, k=13)
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["reduce-color", str(path), "--k", "13", "--format", "json"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.ok and verify_odd_coloring(d.base, res.coloring).valid
+    assert code == 0
+    assign = {int(v): c for v, c in json.loads(out.getvalue())["coloring"].items()}
+    assert verify_odd_coloring(d.base, Coloring.of(d.base, assign, k=13)).valid
 
 
 def test_reduction_colorer_on_c5():

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from oddcolor.graph import Graph, norm_edge
 from oddcolor.embedding import (
     OnePlanarDrawing,
+    _rebuild_subdrawing,
     build_associated_plane_graph,
     drawing_from_json,
     drawing_to_json,
@@ -11,6 +14,8 @@ from oddcolor.embedding import (
     planar_rotation,
     trace_faces,
 )
+
+from oddcolor.generators import random_one_planar
 
 from conftest import plane_c5_drawing, poor4_drawing, special7_drawing
 
@@ -155,6 +160,23 @@ def test_without_edge_uncrossed():
     assert norm_edge(0, 1) not in d2.base.edges
     apg = build_associated_plane_graph(d2)
     assert sorted(f.degree for f in apg.faces) == [8]
+
+
+def test_one_restriction_equals_stepwise_removals():
+    """The reduction colorer restricts the input drawing to the current
+    edges in one step; that drawing is the one the removals build in turn."""
+    rng = random.Random(5)
+    for seed in range(4):
+        d = random_one_planar(30, seed=seed, crossings=30)
+        step = d
+        for _ in range(12):
+            if rng.random() < 0.3:
+                step = step.without_edge(*rng.choice(sorted(step.base.edges)))
+            else:
+                step = step.without_vertex(rng.choice([v for v in range(30) if step.base.adj[v]]))
+            once = _rebuild_subdrawing(d, set(step.base.edges))
+            assert (once.base, once.crossings, once.rotation) == (step.base, step.crossings, step.rotation)
+            assert list(once.rotation) == list(step.rotation)
 
 
 def test_drawing_json_round_trip():

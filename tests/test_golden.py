@@ -121,7 +121,7 @@ def test_library_result_matches_golden(golden, name):
     assert _library_case(*LIBRARY[name]) == golden["library"][name]
 
 
-def test_golden_set_covers_the_colorer_branches(golden):
+def test_golden_set_covers_the_colorer_branches():
     traces = [color_by_reduction(make(), k=13).trace for make in _drawings().values()]
     assert any(line.startswith("bridge (") for t in traces for line in t)
     lib = [color_by_reduction(make(), k=k, exact_limit=limit).trace for make, k, limit in LIBRARY.values()]
