@@ -1,10 +1,16 @@
-"""Golden outputs of the reduction colorer, recorded before its rewrite.
+"""Golden outputs of the CLI and the reduction colorer.
 
+``golden_reduce_color.json`` was recorded before the colorer's rewrite.
 Each case pins the sha256 of the exact ``reduce-color --k 13 --format json``
 stdout and its exit code, plus the sha256 of the colorer's trace.  The set
 includes drawings whose traces split bridges, and library runs with a
 smaller palette or ``exact_limit`` whose traces show extension failures,
 the next-candidate fallback, greedy repair and outright failure.
+
+``golden_cli.json`` pins the stdout, stderr and exit code of the analysis
+commands (``gstar``, ``classify``, ``lemmas``, ``discharge``) on the same
+drawings, plus a two-component drawing with an isolated vertex and one
+whose second component is not planar.
 
 Regenerate (only when an output change is intended) with
 
@@ -26,6 +32,7 @@ from oddcolor import cli
 from oddcolor.coloring import color_by_reduction
 from oddcolor.embedding import OnePlanarDrawing, drawing_to_json
 from oddcolor.generators import complete, random_one_planar
+from oddcolor.graph import Graph
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import (  # noqa: E402
@@ -36,6 +43,7 @@ from conftest import (  # noqa: E402
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden_reduce_color.json"
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden_cli.json"
 
 # (n, seed) of random_one_planar drawings; the second group splits bridges
 RANDOM = [
@@ -72,6 +80,37 @@ LIBRARY = {
 }
 
 
+def two_component_drawing() -> OnePlanarDrawing:
+    """K4 with one crossing, a triangle, and the isolated vertex 7."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3), (4, 5), (5, 6), (4, 6)]
+    rot = {
+        0: (1, 8, 3), 1: (2, 8, 0), 2: (3, 8, 1), 3: (2, 0, 8), 8: (2, 3, 0, 1),
+        4: (5, 6), 5: (6, 4), 6: (4, 5),
+    }
+    return OnePlanarDrawing(Graph.from_edge_list(edges, n=8), (((0, 2), (1, 3)),), rot)
+
+
+def nonplanar_second_component_drawing() -> OnePlanarDrawing:
+    """A triangle, then a K4 whose rotation traces 2 faces (V - E + F = 0)."""
+    edges = [(0, 1), (1, 2), (0, 2)] + [(a, b) for a in range(3, 7) for b in range(a + 1, 7)]
+    rot = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
+    rot.update({v: tuple(w for w in range(3, 7) if w != v) for v in range(3, 7)})
+    return OnePlanarDrawing(Graph.from_edge_list(edges, n=7), (), rot)
+
+
+CLI_EXTRA = {
+    "two-components": two_component_drawing,
+    "nonplanar-second-component": nonplanar_second_component_drawing,
+}
+CLI_COMMANDS = {
+    "gstar": ["gstar", "--format", "json"],
+    "classify": ["classify"],
+    "lemmas": ["lemmas"],
+    "lemmas-colors7": ["lemmas", "--colors", "7"],
+    "discharge": ["discharge", "--transfers"],
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -99,6 +138,30 @@ def _library_case(make, k: int, limit: int) -> dict:
     return {"ok": res.ok, "result_sha256": _sha(json.dumps({"trace": res.trace, "coloring": assign}))}
 
 
+def _cli_drawings() -> dict:
+    return {**_drawings(), **CLI_EXTRA}
+
+
+def _analysis_case(make, tmp: Path) -> dict:
+    path = tmp / "drawing.json"
+    path.write_text(drawing_to_json(make()))
+    out = {}
+    for name, (command, *flags) in CLI_COMMANDS.items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, str(path), *flags])
+        out[name] = {
+            "exit": code,
+            "stdout_sha256": _sha(stdout.getvalue()),
+            "stderr_sha256": _sha(stderr.getvalue()),
+        }
+    return out
+
+
+def compute_cli(tmp: Path) -> dict:
+    return {name: _analysis_case(make, tmp) for name, make in _cli_drawings().items()}
+
+
 def compute(tmp: Path) -> dict:
     return {
         "cli": {name: _cli_case(make, tmp) for name, make in _drawings().items()},
@@ -114,6 +177,21 @@ def golden() -> dict:
 @pytest.mark.parametrize("name", sorted(_drawings()))
 def test_cli_output_matches_golden(golden, name, tmp_path):
     assert _cli_case(_drawings()[name], tmp_path) == golden["cli"][name]
+
+
+@pytest.fixture(scope="module")
+def golden_cli() -> dict:
+    return json.loads(GOLDEN_CLI.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_cli_drawings()))
+def test_analysis_commands_match_golden(golden_cli, name, tmp_path):
+    assert _analysis_case(_cli_drawings()[name], tmp_path) == golden_cli[name]
+
+
+def test_cli_golden_set_covers_components_and_failures(golden_cli):
+    assert golden_cli["two-components"]["discharge"]["exit"] == 0
+    assert {case["exit"] for case in golden_cli["nonplanar-second-component"].values()} == {2}
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY))
@@ -134,3 +212,4 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.write_text(json.dumps(compute(Path(tmp)), indent=1, sort_keys=True) + "\n")
+        GOLDEN_CLI.write_text(json.dumps(compute_cli(Path(tmp)), indent=1, sort_keys=True) + "\n")
