@@ -13,14 +13,13 @@ from typing import Callable, Iterable, Iterator
 
 from .graph import Edge, Graph, bridges_of
 from .embedding import OnePlanarDrawing, _rebuild_subdrawing, build_associated_plane_graph
-from .structure import easy_vertices
+from .structure import PALETTE, breaks_lemma4, easy_vertices, is_easy, is_low, sevens_of_778
 
 
 @dataclass(frozen=True)
 class Coloring:
     k: int
     assign: dict[int, int]
-    uncolored: frozenset[int]
 
     @staticmethod
     def of(g: Graph, assign: dict[int, int], k: int | None = None) -> "Coloring":
@@ -29,8 +28,7 @@ class Coloring:
         bad = [v for v, c in assign.items() if not 1 <= c <= k]
         if bad:
             raise ValueError(f"colors out of range [1..{k}] at vertices {bad}")
-        uncolored = frozenset(v for v in range(g.n) if v not in assign)
-        return Coloring(k=k, assign=dict(assign), uncolored=uncolored)
+        return Coloring(k=k, assign=dict(assign))
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,9 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
     Colors are capped at one more than the number already in use, which
     cuts color-permutation symmetry.
 
-    Isolated vertices sort last and take color 1 with no search node or
-    frame, so the recursion depth is the number of non-isolated vertices.
+    The search runs on an explicit stack of frames, one per colored
+    vertex, so its depth is not bounded by the recursion limit.  Isolated
+    vertices sort last and take color 1 with no search node.
 
     ``max_nodes`` bounds the number of search-tree nodes; the search
     raises ``SearchBudgetExceeded`` when the budget runs out.
@@ -105,45 +104,47 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
     adj = g.adj
     nodes = 0
 
-    def parity_ok(v: int) -> bool:
-        # all neighbors of v are colored; check some color appears oddly
-        counts: dict[int, int] = {}
-        for u in adj[v]:
-            counts[color[u]] = counts.get(color[u], 0) + 1
-        return any(cnt % 2 == 1 for cnt in counts.values())
-
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     searched = sum(1 for v in range(n) if adj[v])
 
-    def solve(colored_count: int, max_used: int) -> bool:
-        nonlocal nodes
-        if colored_count == searched:
-            return True
-        v = order[colored_count]
+    def frame(depth: int, max_used: int) -> tuple[int, Iterator[int], int]:
+        """The vertex at depth, the colors left to try on it, and the colors in use."""
+        v = order[depth]
         banned = {color[u] for u in adj[v] if color[u]}
         top = min(k, max_used + 1)
-        for a in range(1, top + 1):
-            if a in banned:
-                continue
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise SearchBudgetExceeded(
-                    f"odd-coloring search exceeded {max_nodes} nodes"
-                )
-            color[v] = a
-            for u in adj[v]:
-                uncolored_nbrs[u] -= 1
-            ok = all(
-                parity_ok(u) for u in adj[v] if uncolored_nbrs[u] == 0 and adj[u]
-            )
-            if ok and solve(colored_count + 1, max(max_used, a)):
-                return True
-            color[v] = 0
-            for u in adj[v]:
-                uncolored_nbrs[u] += 1
-        return False
+        return v, iter([a for a in range(1, top + 1) if a not in banned]), max_used
 
-    if solve(0, 0) and (k >= 1 or searched == n):  # isolated vertices need color 1
+    def place(v: int, a: int) -> None:
+        """Color v with a, or uncolor it when a is 0."""
+        step = -1 if a else 1
+        color[v] = a
+        for u in adj[v]:
+            uncolored_nbrs[u] += step
+
+    stack = [frame(0, 0)] if searched else []
+    found = not searched
+    while stack and not found:
+        v, options, max_used = stack[-1]
+        if color[v]:
+            place(v, 0)
+        a = next(options, 0)
+        if not a:
+            stack.pop()
+            continue
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise SearchBudgetExceeded(
+                f"odd-coloring search exceeded {max_nodes} nodes"
+            )
+        place(v, a)
+        # a neighbor whose neighbors are all colored must have an odd color now
+        if all(_odd_mask(adj, color, u) for u in adj[v] if uncolored_nbrs[u] == 0):
+            if len(stack) == searched:
+                found = True
+            else:
+                stack.append(frame(len(stack), max(max_used, a)))
+
+    if found and (k >= 1 or searched == n):  # isolated vertices need color 1
         assign = {v: color[v] or 1 for v in range(n)}
         c = Coloring.of(g, assign, k=k)
         rep = verify_odd_coloring(g, c)
@@ -249,12 +250,6 @@ def _valid_near(adj: list[set[int]], color: list[int], touched: Iterable[int]) -
     return True
 
 
-def _is_easy(adj: list[set[int]], w: int) -> bool:
-    """``easy_vertices`` membership with its default 13-color thresholds."""
-    dw = len(adj[w])
-    return dw <= 6 or dw % 2 == 1 or any(len(adj[u]) <= 6 for u in adj[w])
-
-
 def _extend(
     adj: list[set[int]],
     color: list[int],
@@ -265,8 +260,9 @@ def _extend(
     """Color v, whose edges are in adj, given an odd k-coloring of the rest.
 
     Colors no neighbor forbids go first (an easy neighbor w forbids its
-    least odd color when d(w) <= 6 and it has one, else its own color;
-    any other neighbor forbids both).  Each color is tried alone, then
+    least odd color when d(w) is low and it has one, else its own color;
+    any other neighbor forbids both).  Easy and low use the thresholds
+    of the 13-color theorem, whatever k is.  Each color is tried alone, then
     with one recolored repair target at a time, until ``valid`` accepts
     the change at the touched vertices.  On success color is odd on the
     whole graph; on failure it is left as it was.
@@ -276,8 +272,8 @@ def _extend(
     for w in nbrs:
         odd = _odd_mask(adj, color, w, skip=v)
         least_odd = (odd & -odd).bit_length() - 1
-        if _is_easy(adj, w):
-            forbidden.add(least_odd if odd and len(adj[w]) <= 6 else color[w])
+        if is_easy(len(adj[w]), (len(adj[u]) for u in adj[w])):
+            forbidden.add(least_odd if odd and is_low(len(adj[w])) else color[w])
         else:
             forbidden.add(color[w])
             if odd:
@@ -307,12 +303,12 @@ def _extend(
 
 
 def _repair_targets(adj: list[set[int]], v: int, nbrs: list[int]) -> list[int]:
-    """Vertices of degree <= 6 in N(v), then in N(N(v)) - v, in id order."""
-    out = [w for w in nbrs if len(adj[w]) <= 6]
+    """Vertices of low degree in N(v), then in N(N(v)) - v, in id order."""
+    out = [w for w in nbrs if is_low(len(adj[w]))]
     seen = set(out)
     for w in nbrs:
         for w2 in sorted(adj[w]):
-            if w2 != v and len(adj[w2]) <= 6 and w2 not in seen:
+            if w2 != v and is_low(len(adj[w2])) and w2 not in seen:
                 seen.add(w2)
                 out.append(w2)
     return out
@@ -477,46 +473,39 @@ def _spans_bridgeless(adj: list[set[int]], vertices: set[int]) -> bool:
 def _pick_reducible(d: OnePlanarDrawing, g: Graph) -> list[tuple[int, str]]:
     """Reducible vertices of g, a subgraph of d.base, in priority order.
 
-    Each comes with the name of the detector that fired.  The face778
-    detector planarizes d restricted to the edges of g.
+    Each comes with the name of the detector that fired.  The detectors
+    use the thresholds of the 13-color theorem.  The face778 detector
+    planarizes d restricted to the edges of g.
     """
     out: list[tuple[int, str]] = []
     by_degree = sorted((v for v in range(g.n) if g.adj[v]), key=g.degree)
-    for v in by_degree:
-        if g.degree(v) <= 6:
-            out.append((v, "6minus"))
+    out += [(v, "6minus") for v in by_degree if is_low(g.degree(v))]
     easy = easy_vertices(g)
     for v in by_degree:
-        dv = g.degree(v)
-        if dv >= 7 and (dv % 2 == 1 or any(g.degree(u) <= 6 for u in g.adj[v])):
-            n_e = sum(1 for u in g.adj[v] if u in easy)
-            if n_e > 2 * dv - 13:
-                out.append((v, "lemma4"))
+        n_e = sum(1 for u in g.adj[v] if u in easy)
+        if breaks_lemma4(g.degree(v), [g.degree(u) for u in g.adj[v]], n_e):
+            out.append((v, "lemma4"))
     if not out:
         try:
             apg = build_associated_plane_graph(_rebuild_subdrawing(d, set(g.edges)))
         except ValueError:
             return out
-        for i, f in enumerate(apg.faces):
-            if f.degree != 3:
-                continue
-            degs = sorted(apg.gstar.degree(x) for x, _ in f.walk)
-            stars = [x for x, _ in f.walk if apg.is_star(x)]
-            if degs == [7, 7, 8] and not stars:
-                sevens = [x for x, _ in f.walk if apg.gstar.degree(x) == 7]
+        for f in apg.faces:
+            sevens = sevens_of_778(f, apg)
+            if sevens:
                 out.append((sevens[0], "face778"))
     return out
 
 
 def color_by_reduction(
-    d: OnePlanarDrawing, k: int = 13, exact_limit: int = 20
+    d: OnePlanarDrawing, k: int = PALETTE, exact_limit: int = 20
 ) -> ReductionResult:
     """Best-effort odd k-coloring driven by the reducibility detectors.
 
     One loop over an explicit peel stack, on a graph changed in place.
     Descending, each level removes the smallest bridge if there is one,
     else the first reducible vertex (the least-degree vertex when its
-    degree is at most 6, so the full detector list is built only when
+    degree is low, so the full detector list is built only when
     needed), until at most ``exact_limit`` non-isolated vertices remain
     and exact search colors them.  Unwinding, each vertex is colored by
     ``_extend`` and each bridge merged by color exchanges on its two
@@ -567,7 +556,7 @@ def color_by_reduction(
                 stack.append(("bridge", u, v))
                 continue
             least = peel.least_degree()
-            if least is not None and least[0] <= 6:
+            if least is not None and is_low(least[0]):
                 peel_vertex(least[1], "6minus", None, 0)
                 continue
             hits = _pick_reducible(d, peel.graph())[:4]

@@ -10,10 +10,8 @@ floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .embedding import AssociatedPlaneGraph
 from .structure import FaceClass, FaceTags, LemmaReport, VertexTags
@@ -108,13 +106,9 @@ def _vertex_payment(
     return None
 
 
-def apply_rules(
-    apg: AssociatedPlaneGraph,
-    vt: VertexTags,
-    ft: FaceTags,
-    ledger: ChargeLedger,
-) -> ChargeLedger:
-    """Run R1-R4.  Transfers are per incidence; phases are strict.
+def apply_rules(apg: AssociatedPlaneGraph, vt: VertexTags, ft: FaceTags) -> ChargeLedger:
+    """Run R1-R4 from the initial charges.  Transfers are per incidence;
+    phases are strict.
 
     All vertex-to-face income is computed before any face redistributes,
     because R4 hands out exactly the income a face collected.
@@ -145,11 +139,10 @@ def apply_rules(
                 if v in vt.special_2:
                     transfers.append(Transfer(("f", i), ("v", v), share, "R4"))
 
-    mu_star = dict(ledger.mu)
-    for t in transfers:
-        mu_star[t.source] -= t.amount
-        mu_star[t.target] += t.amount
-    return ChargeLedger(mu=dict(ledger.mu), mu_star=mu_star, transfers=transfers)
+    ledger = initial_charges(apg)
+    ledger.transfers = transfers
+    ledger.mu_star = ledger.replay()
+    return ledger
 
 
 @dataclass
@@ -198,30 +191,16 @@ def audit(
     that touch it (the element itself, or for faces their incident
     vertices and vice versa).
     """
-    ledger = apply_rules(apg, vt, ft, initial_charges(apg))
+    ledger = apply_rules(apg, vt, ft)
 
     comps = []
-    for comp in apg.gstar.components():
-        rep = next(iter(sorted(comp)))
-        if len(comp) == 1 and not apg.gstar.adj[rep]:
-            continue
-        total_mu = sum(
-            (ledger.mu[("v", v)] for v in comp if ("v", v) in ledger.mu),
-            Fraction(0),
-        )
-        total_mu_star = sum(
-            (ledger.mu_star[("v", v)] for v in comp if ("v", v) in ledger.mu_star),
-            Fraction(0),
-        )
-        for i, f in enumerate(apg.faces):
-            if f.walk[0][0] in comp:
-                total_mu += ledger.mu[("f", i)]
-                total_mu_star += ledger.mu_star[("f", i)]
+    for verts, faces in apg.split_components():
+        elements = [("v", v) for v in verts] + [("f", i) for i in faces]
         comps.append(
             {
-                "component": rep,
-                "sum_initial": str(total_mu),
-                "sum_final": str(total_mu_star),
+                "component": verts[0],
+                "sum_initial": str(sum((ledger.mu[x] for x in elements), Fraction(0))),
+                "sum_final": str(sum((ledger.mu_star[x] for x in elements), Fraction(0))),
             }
         )
 

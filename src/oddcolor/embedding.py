@@ -10,9 +10,8 @@ Face tracing follows the usual dart convention: the dart after (u, v) is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .graph import Edge, Graph, norm_edge
 
@@ -30,28 +29,29 @@ class OnePlanarDrawing:
     def star_id(self, crossing_index: int) -> int:
         return self.base.n + crossing_index
 
-    def crossed_edges(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for e1, e2 in self.crossings:
-            out.add(e1)
-            out.add(e2)
-        return out
+    def star_of_edge(self) -> dict[Edge, int]:
+        """The crossing vertex on each crossed base edge."""
+        return {e: self.star_id(i) for i, pair in enumerate(self.crossings) for e in pair}
 
-    def planarized_edges(self) -> set[Edge]:
-        """Edge set of the planarization: uncrossed edges plus half-edges."""
-        crossed = {}
-        for i, (e1, e2) in enumerate(self.crossings):
-            crossed[e1] = self.star_id(i)
-            crossed[e2] = self.star_id(i)
-        out: set[Edge] = set()
+    def crossed_edges(self) -> set[Edge]:
+        return set(self.star_of_edge())
+
+    def planarization(self) -> dict[Edge, Edge]:
+        """Each edge of the planarization mapped to its base edge.
+
+        An uncrossed edge maps to itself; a crossed edge is split into the
+        two half-edges from its ends to its crossing vertex.
+        """
+        star = self.star_of_edge()
+        origin: dict[Edge, Edge] = {}
         for e in self.base.edges:
-            if e in crossed:
-                z = crossed[e]
-                out.add(norm_edge(e[0], z))
-                out.add(norm_edge(e[1], z))
+            z = star.get(e)
+            if z is None:
+                origin[e] = e
             else:
-                out.add(e)
-        return out
+                origin[norm_edge(e[0], z)] = e
+                origin[norm_edge(e[1], z)] = e
+        return origin
 
     def validate(self) -> None:
         n = self.base.n
@@ -68,7 +68,7 @@ class OnePlanarDrawing:
                 raise ValueError(
                     f"crossing pair {e1} x {e2} shares an endpoint"
                 )
-        planar_edges = self.planarized_edges()
+        planar_edges = self.planarization().keys()
         nverts = n + len(self.crossings)
         rot_edges: set[Edge] = set()
         for v, order in self.rotation.items():
@@ -88,10 +88,6 @@ class OnePlanarDrawing:
         for u, v in planar_edges:
             if v not in self.rotation.get(u, ()) or u not in self.rotation.get(v, ()):
                 raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
-        for i in range(len(self.crossings)):
-            z = self.star_id(i)
-            if len(self.rotation.get(z, ())) != 4:
-                raise ValueError(f"crossing vertex {z} must have rotation degree 4")
 
     def without_vertex(self, v: int) -> "OnePlanarDrawing":
         """Drawing with every base edge at v removed (v becomes isolated)."""
@@ -113,56 +109,29 @@ def _rebuild_subdrawing(d: OnePlanarDrawing, keep: set[Edge]) -> OnePlanarDrawin
     becomes uncrossed and its two half-edge darts are spliced back together.
     """
     n = d.base.n
-    new_crossings = [
-        (e1, e2) for (e1, e2) in d.crossings if e1 in keep and e2 in keep
-    ]
-    old_star_of_edge: dict[Edge, int] = {}
-    for i, (e1, e2) in enumerate(d.crossings):
-        old_star_of_edge[e1] = d.star_id(i)
-        old_star_of_edge[e2] = d.star_id(i)
-    # map old star id -> new star id for surviving crossings
-    star_map: dict[int, int] = {}
-    for new_i, pair in enumerate(new_crossings):
-        old_i = d.crossings.index(pair)
-        star_map[d.star_id(old_i)] = n + new_i
-
-    # for each dropped star, the splice target: partner endpoint behind it
-    # dart (x, z_old) with z dropped becomes (x, other endpoint of x's edge)
-    splice: dict[tuple[int, int], int | None] = {}
-    dropped_stars = set()
-    for i, (e1, e2) in enumerate(d.crossings):
-        z = d.star_id(i)
-        if (e1, e2) in new_crossings:
-            continue
-        dropped_stars.add(z)
-        for e in (e1, e2):
-            if e in keep:
-                a, b = e
-                splice[(a, z)] = b
-                splice[(b, z)] = a
-            else:
-                for x in e:
-                    splice[(x, z)] = None  # edge gone entirely
-
+    origin = d.planarization()
+    kept = [i for i, (e1, e2) in enumerate(d.crossings) if e1 in keep and e2 in keep]
+    new_star = {d.star_id(old): n + new for new, old in enumerate(kept)}
     rotation: dict[int, tuple[int, ...]] = {}
     for v, order in d.rotation.items():
-        if v >= n and v in dropped_stars:
+        if v >= n and v not in new_star:
             continue
         out = []
         for w in order:
-            tgt: int | None = w
-            if w >= n and w in dropped_stars:
-                tgt = splice[(v, w)]
-            elif w >= n:
-                tgt = star_map[w]
-            elif v < n and norm_edge(v, w) not in keep and norm_edge(v, w) in d.base.edges:
-                tgt = None  # uncrossed base edge that was removed
-            if tgt is not None:
-                out.append(tgt)
-        key = star_map.get(v, v) if v >= n else v
-        rotation[key] = tuple(out)
+            e = origin[norm_edge(v, w)]
+            if e not in keep:
+                continue
+            if w < n:
+                out.append(w)
+            elif w in new_star:
+                out.append(new_star[w])
+            else:
+                out.append(e[0] + e[1] - v)  # the far end of v's now uncrossed edge
+        rotation[new_star.get(v, v)] = tuple(out)
     base = Graph.from_edge_list(sorted(keep), n=n)
-    return OnePlanarDrawing(base=base, crossings=tuple(new_crossings), rotation=rotation)
+    return OnePlanarDrawing(
+        base=base, crossings=tuple(d.crossings[i] for i in kept), rotation=rotation
+    )
 
 
 @dataclass(frozen=True)
@@ -184,10 +153,6 @@ class Face:
     def vertices(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.walk)
 
-    @property
-    def face_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for _, e in self.walk)
-
 
 @dataclass(frozen=True)
 class AssociatedPlaneGraph:
@@ -207,16 +172,18 @@ class AssociatedPlaneGraph:
             out.extend(i for x, _ in f.walk if x == v)
         return out
 
-    def components(self) -> list[set[int]]:
-        return self.gstar.components()
+    def split_components(self) -> list[tuple[list[int], list[int]]]:
+        """Sorted vertices and face indices of each component with an edge.
 
-    def face_component(self, face_index: int) -> set[int]:
-        """The vertex component a face belongs to."""
-        v0 = self.faces[face_index].walk[0][0]
-        for comp in self.gstar.components():
-            if v0 in comp:
-                return comp
-        raise AssertionError("face vertex not in any component")
+        Components come in order of their least vertex; a face belongs to
+        the component of the first vertex on its walk.
+        """
+        comps = [sorted(c) for c in self.gstar.components() if len(c) > 1]
+        label = {v: i for i, comp in enumerate(comps) for v in comp}
+        faces: list[list[int]] = [[] for _ in comps]
+        for i, f in enumerate(self.faces):
+            faces[label[f.walk[0][0]]].append(i)
+        return list(zip(comps, faces))
 
 
 def trace_faces(rotation: Mapping[int, Sequence[int]]) -> tuple[Face, ...]:
@@ -250,43 +217,23 @@ def trace_faces(rotation: Mapping[int, Sequence[int]]) -> tuple[Face, ...]:
 
 
 def build_associated_plane_graph(d: OnePlanarDrawing) -> AssociatedPlaneGraph:
-    """Planarize a drawing: each crossing pair becomes a fresh 4*-vertex."""
+    """Planarize a drawing: each crossing pair becomes a fresh 4*-vertex.
+
+    A valid drawing crosses each edge at most once, by an edge with other
+    ends, so each star gets four base neighbors and every base vertex
+    keeps its degree.
+    """
     d.validate()
-    n = d.base.n
-    origin: dict[Edge, Edge] = {}
-    crossed: dict[Edge, int] = {}
-    for i, (e1, e2) in enumerate(d.crossings):
-        crossed[e1] = d.star_id(i)
-        crossed[e2] = d.star_id(i)
-    for e in d.base.edges:
-        if e in crossed:
-            z = crossed[e]
-            origin[norm_edge(e[0], z)] = e
-            origin[norm_edge(e[1], z)] = e
-        else:
-            origin[e] = e
-    nverts = n + len(d.crossings)
-    gstar = Graph.from_edge_list(sorted(origin.keys()), n=nverts)
-    stars = frozenset(range(n, nverts))
-    for z in stars:
-        if gstar.degree(z) != 4:
-            raise ValueError(f"crossing vertex {z} has degree {gstar.degree(z)} != 4")
-        for w in gstar.neighbors(z):
-            if w in stars:
-                raise ValueError(f"crossing vertices {z} and {w} are adjacent")
-    for v in range(n):
-        if gstar.degree(v) != d.base.degree(v):
-            raise ValueError(
-                f"planarization changed degree of vertex {v}: "
-                f"{d.base.degree(v)} -> {gstar.degree(v)}"
-            )
+    origin = d.planarization()
+    nverts = d.base.n + len(d.crossings)
+    gstar = Graph.from_edge_list(sorted(origin), n=nverts)
     rotation = {v: tuple(order) for v, order in d.rotation.items()}
     for v in range(nverts):
         rotation.setdefault(v, ())
     faces = trace_faces(rotation)
     apg = AssociatedPlaneGraph(
         gstar=gstar,
-        star_vertices=stars,
+        star_vertices=frozenset(range(d.base.n, nverts)),
         origin=origin,
         faces=faces,
         rotation=rotation,
@@ -297,17 +244,13 @@ def build_associated_plane_graph(d: OnePlanarDrawing) -> AssociatedPlaneGraph:
 
 def _check_euler(apg: AssociatedPlaneGraph) -> None:
     """V - E + F = 2 per connected component (isolated vertices skipped)."""
-    comps = [c for c in apg.gstar.components()]
-    for comp in comps:
-        nv = len(comp)
-        if nv == 1 and not apg.gstar.adj[next(iter(comp))]:
-            continue  # isolated vertex contributes nothing
-        ne = sum(1 for u, v in apg.gstar.edges if u in comp)
-        nf = sum(1 for f in apg.faces if f.walk[0][0] in comp)
+    for verts, faces in apg.split_components():
+        nv, nf = len(verts), len(faces)
+        ne = sum(apg.gstar.degree(v) for v in verts) // 2
         if nv - ne + nf != 2:
             raise ValueError(
                 f"rotation system is not planar on component "
-                f"{sorted(comp)[:8]}...: V-E+F = {nv}-{ne}+{nf} != 2"
+                f"{verts[:8]}...: V-E+F = {nv}-{ne}+{nf} != 2"
             )
 
 
@@ -332,20 +275,43 @@ def drawing_to_json(d: OnePlanarDrawing) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _ints(value, what: str, size: int | None = None) -> list[int]:
+    """value, checked to be a JSON list of integers, of length size if given."""
+    if (
+        not isinstance(value, list)
+        or {*map(type, value)} - {int}
+        or size not in (None, len(value))
+    ):
+        raise ValueError(
+            f"{what} must be a list of {size or 'any number of'} integers, got {value!r}"
+        )
+    return value
+
+
 def drawing_from_json(text: str) -> OnePlanarDrawing:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed drawing JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError("drawing JSON must be an object")
     for key in ("n", "edges"):
         if key not in payload:
             raise ValueError(f"drawing JSON missing field {key!r}")
     n = payload["n"]
-    edges = [norm_edge(int(u), int(v)) for u, v in payload["edges"]]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"field 'n' must be a non-negative integer, got {n!r}")
+    raw_edges = payload["edges"]
+    if not isinstance(raw_edges, list):
+        raise ValueError("field 'edges' must be a list")
+    edges = [norm_edge(*_ints(e, "edge", 2)) for e in raw_edges]
     base = Graph.from_edge_list(edges, n=n)
     raw_crossings = payload.get("crossings", [])
+    if not isinstance(raw_crossings, list):
+        raise ValueError("field 'crossings' must be a list")
     crossings = []
-    for i, j in raw_crossings:
+    for pair in raw_crossings:
+        i, j = _ints(pair, "crossing", 2)
         if not (0 <= i < len(edges) and 0 <= j < len(edges)):
             raise ValueError(f"crossing index pair [{i}, {j}] out of range")
         crossings.append((edges[i], edges[j]))
@@ -354,8 +320,13 @@ def drawing_from_json(text: str) -> OnePlanarDrawing:
         if crossings:
             raise ValueError("rotation is mandatory when crossings are present")
         rotation = planar_rotation(base)
+    elif not isinstance(rotation_raw, dict):
+        raise ValueError("field 'rotation' must be an object")
     else:
-        rotation = {int(v): tuple(order) for v, order in rotation_raw.items()}
+        rotation = {
+            int(v): tuple(_ints(order, f"rotation at {v}"))
+            for v, order in rotation_raw.items()
+        }
     d = OnePlanarDrawing(base=base, crossings=tuple(crossings), rotation=rotation)
     d.validate()
     return d

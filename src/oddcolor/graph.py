@@ -8,7 +8,7 @@ them).  Graphs are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -23,10 +23,6 @@ class Graph:
     n: int
     edges: frozenset[Edge]
     adj: tuple[tuple[int, ...], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return self.n
 
     @staticmethod
     def from_edge_list(pairs: Iterable[Sequence[int]], n: int | None = None) -> "Graph":
@@ -68,9 +64,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
-
-    def vertices(self) -> Iterator[int]:
-        return iter(range(self.n))
 
     def without_vertex(self, v: int) -> "Graph":
         """Graph with all edges at v removed; v stays as an isolated vertex."""

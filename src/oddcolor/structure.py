@@ -8,29 +8,64 @@ crossing vertices are artifacts of the drawing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from .graph import Edge, Graph, norm_edge
-from .embedding import AssociatedPlaneGraph, Face, OnePlanarDrawing, face_profile
+from .embedding import AssociatedPlaneGraph, Face, OnePlanarDrawing
+
+PALETTE = 13
+"""The palette of the theorem: every 1-planar graph is odd 13-colorable."""
 
 
-def easy_vertices(g: Graph, colors: int = 13) -> set[int]:
-    """Vertices that forbid only one color when a neighbor gets colored.
+def is_low(degree: int, colors: int = PALETTE) -> bool:
+    """Degree at most (colors-1)//2: a vertex too small to block a color."""
+    return degree <= (colors - 1) // 2
 
-    v is easy when d(v) <= (colors-1)//2, or d(v) is odd and above that
-    bound, or v has a neighbor of degree at most (colors-1)//2.
+
+def is_easy(degree: int, neighbor_degrees: Iterable[int], colors: int = PALETTE) -> bool:
+    """Whether a vertex forbids only one color when a neighbor gets colored.
+
+    It does when its degree is low or odd, or it has a neighbor of low degree.
     """
-    lo = (colors - 1) // 2
-    out = set()
-    for v in range(g.n):
-        d = g.degree(v)
-        if d <= lo or (d > lo and d % 2 == 1):
-            out.add(v)
-        elif any(g.degree(u) <= lo for u in g.adj[v]):
-            out.add(v)
-    return out
+    return (
+        is_low(degree, colors)
+        or degree % 2 == 1
+        or any(is_low(du, colors) for du in neighbor_degrees)
+    )
+
+
+def breaks_lemma4(
+    degree: int, neighbor_degrees: Iterable[int], n_easy: int, colors: int = PALETTE
+) -> bool:
+    """Lemma 4's bound fails: an easy vertex of degree above the low ones has
+    more than 2d - colors easy neighbors, so it is reducible."""
+    return (
+        not is_low(degree, colors)
+        and n_easy > 2 * degree - colors
+        and is_easy(degree, neighbor_degrees, colors)
+    )
+
+
+def sevens_of_778(f: Face, apg: AssociatedPlaneGraph) -> list[int]:
+    """The degree-7 vertices of f, in walk order, when f is a triangle of
+    original vertices with degrees 7, 7 and 8 (Lemma 8); else [].
+
+    Crossing vertices have degree 4, so these degrees exclude them.
+    """
+    degs = [apg.gstar.degree(x) for x, _ in f.walk]
+    if sorted(degs) != [7, 7, 8]:
+        return []
+    return [x for x, dx in zip(f.vertices, degs) if dx == 7]
+
+
+def easy_vertices(g: Graph, colors: int = PALETTE) -> set[int]:
+    """Vertices that forbid only one color when a neighbor gets colored."""
+    return {
+        v for v in range(g.n)
+        if is_easy(g.degree(v), (g.degree(u) for u in g.adj[v]), colors)
+    }
 
 
 @dataclass
@@ -89,7 +124,7 @@ class FaceTags:
 
 
 def classify_vertices(
-    d: OnePlanarDrawing, apg: AssociatedPlaneGraph, colors: int = 13
+    d: OnePlanarDrawing, apg: AssociatedPlaneGraph, colors: int = PALETTE
 ) -> VertexTags:
     g = d.base
     easy = easy_vertices(g, colors)
@@ -222,9 +257,7 @@ def _poor6_witness(
     return None
 
 
-def classify_faces(
-    apg: AssociatedPlaneGraph, vt: VertexTags, g: Graph
-) -> FaceTags:
+def classify_faces(apg: AssociatedPlaneGraph, vt: VertexTags) -> FaceTags:
     classes: list[FaceClass] = []
     witnesses: list[dict] = []
     n2_list: list[int] = []
@@ -299,28 +332,6 @@ class LemmaReport:
     def satisfied_all(self) -> bool:
         return all(not v for v in self.violations.values())
 
-    def implicated_vertices(self) -> set[int]:
-        out: set[int] = set()
-        for items in self.violations.values():
-            for item in items:
-                if isinstance(item, dict):
-                    for key in ("vertex", "u", "v"):
-                        if key in item and isinstance(item[key], int):
-                            out.add(item[key])
-                    if "edge" in item:
-                        out.update(item["edge"])
-                    if "face_vertices" in item:
-                        out.update(item["face_vertices"])
-        return out
-
-    def implicated_faces(self) -> set[int]:
-        out: set[int] = set()
-        for items in self.violations.values():
-            for item in items:
-                if isinstance(item, dict) and "face" in item:
-                    out.add(item["face"])
-        return out
-
     def lemmas_touching(self, element: tuple[str, int], apg) -> list[str]:
         """Lemma ids whose witnesses touch a vertex or face element."""
         kind, ident = element
@@ -361,7 +372,7 @@ class LemmaReport:
 
 
 def detect_lemma_violations(
-    d: OnePlanarDrawing, apg: AssociatedPlaneGraph, colors: int = 13
+    d: OnePlanarDrawing, apg: AssociatedPlaneGraph, colors: int = PALETTE
 ) -> LemmaReport:
     """Witnesses against the conclusions of the eight reducibility lemmas.
 
@@ -373,8 +384,6 @@ def detect_lemma_violations(
     if colors < 7:
         raise ValueError("colors must be >= 7")
     g = d.base
-    lo = (colors - 1) // 2
-    hi = (colors + 1) // 2
     easy = easy_vertices(g, colors)
     crossed = d.crossed_edges()
     v: dict[str, list] = {f"L{i}": [] for i in range(1, 9)}
@@ -387,27 +396,26 @@ def detect_lemma_violations(
 
     for x in range(g.n):
         dx = g.degree(x)
-        if dx % 2 == 1 and dx < hi:
+        if dx % 2 == 1 and is_low(dx, colors):
             v["L2"].append({"vertex": x, "degree": dx})
 
     for e in sorted(g.edges - crossed):
         a, b = e
-        if g.degree(a) <= lo or g.degree(b) <= lo:
+        if is_low(g.degree(a), colors) or is_low(g.degree(b), colors):
             v["L3"].append({"edge": list(e)})
 
     for x in range(g.n):
         dx = g.degree(x)
-        if dx == 0:
-            continue
-        if dx % 2 == 1 or any(g.degree(u) <= lo for u in g.adj[x]):
-            n_e = sum(1 for u in g.adj[x] if u in easy)
-            if dx < hi:
+        degs = [g.degree(u) for u in g.adj[x]]
+        n_e = sum(1 for u in g.adj[x] if u in easy)
+        if dx and is_low(dx, colors):
+            if dx % 2 == 1 or any(is_low(du, colors) for du in degs):
                 v["L4"].append({"vertex": x, "degree": dx, "reason": "degree"})
-            elif n_e > 2 * dx - colors:
-                v["L4"].append(
-                    {"vertex": x, "degree": dx, "easy_neighbors": n_e,
-                     "reason": "too many easy neighbors"}
-                )
+        elif breaks_lemma4(dx, degs, n_e, colors):
+            v["L4"].append(
+                {"vertex": x, "degree": dx, "easy_neighbors": n_e,
+                 "reason": "too many easy neighbors"}
+            )
 
     for i, f in enumerate(apg.faces):
         if f.degree <= 2:
@@ -417,7 +425,7 @@ def detect_lemma_violations(
             big = sum(
                 1
                 for x, _ in f.walk
-                if not apg.is_star(x) and apg.gstar.degree(x) >= hi
+                if not apg.is_star(x) and not is_low(apg.gstar.degree(x), colors)
             )
             if not (stars == 0 and big == 3) and not (stars == 1 and big == 2):
                 v["L5"].append(
@@ -428,7 +436,6 @@ def detect_lemma_violations(
     for x in range(g.n):
         if g.degree(x) != 2:
             continue
-        fdegs = sorted(apg.faces[i].degree for i in set(apg.faces_at(x)))
         incidences = sorted(apg.faces[i].degree for i in apg.faces_at(x))
         # a 2-vertex lies on two face incidences; need one 5+ and one 4+
         if len(incidences) < 2 or not (
@@ -449,12 +456,7 @@ def detect_lemma_violations(
             v["L7"].append({"face": i})
 
     for i, f in enumerate(apg.faces):
-        if f.degree != 3:
-            continue
-        if any(apg.is_star(x) for x, _ in f.walk):
-            continue
-        degs = sorted(apg.gstar.degree(x) for x, _ in f.walk)
-        if degs == [7, 7, 8]:
+        if sevens_of_778(f, apg):
             v["L8"].append(
                 {"face": i, "face_vertices": sorted({x for x, _ in f.walk})}
             )

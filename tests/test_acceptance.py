@@ -28,7 +28,7 @@ from oddcolor.generators import (
     subdivided_complete,
 )
 from oddcolor.structure import classify_faces, classify_vertices, detect_lemma_violations
-from oddcolor.discharging import apply_rules, audit, initial_charges
+from oddcolor.discharging import apply_rules, audit
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -123,7 +123,7 @@ def test_criterion_3_oracle_equivalence():
 def _tagged(corpus, corpus_apgs):
     for d, apg in zip(corpus, corpus_apgs):
         vt = classify_vertices(d, apg)
-        ft = classify_faces(apg, vt, d.base)
+        ft = classify_faces(apg, vt)
         yield d, apg, vt, ft
 
 
@@ -163,7 +163,7 @@ def test_criterion_6_face_charges(corpus, corpus_apgs):
     checked_3 = 0
     for d, apg, vt, ft in _tagged(corpus, corpus_apgs):
         lemmas = detect_lemma_violations(d, apg)
-        led = apply_rules(apg, vt, ft, initial_charges(apg))
+        led = apply_rules(apg, vt, ft)
         l5_faces = {item["face"] for item in lemmas.violations["L5"]}
         l8_faces = {item["face"] for item in lemmas.violations["L8"]}
         l4_vertices = {item["vertex"] for item in lemmas.violations["L4"]}

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddcolor.cli import main
+from oddcolor.graph import Graph, format_edge_list
 
 
 def run(capsys, *argv):
@@ -123,3 +127,62 @@ def test_reduce_color(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["ok"] and payload["k"] == 13
     assert payload["colors_used"] <= 13
+
+
+def test_chi_odd_long_path_needs_no_recursion(tmp_path, capsys):
+    """The exact search keeps its frames on a stack of its own: a 1200-vertex
+    path is solved under the default recursion limit."""
+    graph = tmp_path / "path.txt"
+    graph.write_text(format_edge_list(Graph.from_edge_list([(i, i + 1) for i in range(1199)])))
+    code, out, _ = run(capsys, "chi-odd", str(graph), "--kmax", "4")
+    assert code == 0 and out.strip() == "3"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": "x", "edges": [[0, 1]]},
+        {"n": 2, "edges": [[0, 1]], "rotation": {"0": 5, "1": [0]}},
+        {"n": 2, "edges": [[0, 1.5]]},
+        {"n": 2, "edges": [[0, "1"]]},
+        {"n": True, "edges": []},
+        {"n": -1, "edges": []},
+        {"n": 3, "edges": {"0": 1}},
+        {"n": 3, "edges": [[0, 1, 2]]},
+        {"n": 2, "edges": [[0, 1]], "crossings": [[0]]},
+        {"n": 2, "edges": [[0, 1]], "crossings": 7},
+        {"n": 2, "edges": [[0, 1]], "rotation": [[1], [0]]},
+        [2, [[0, 1]]],
+    ],
+)
+def test_gstar_rejects_malformed_drawing(tmp_path, capsys, payload):
+    drawing = tmp_path / "d.json"
+    drawing.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "gstar", str(drawing))
+    assert code == 2 and err.startswith("error:")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+_pairs = st.lists(st.integers(-1, 6), min_size=2, max_size=2) | st.integers(0, 6) | _json_values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {"n": st.integers(0, 6) | _json_values, "edges": st.lists(_pairs, max_size=8) | _json_values},
+        optional={
+            "crossings": _json_values | st.lists(_pairs, max_size=3),
+            "rotation": _json_values
+            | st.dictionaries(st.sampled_from("0123456"), st.lists(st.integers(-1, 8), max_size=4)),
+        },
+    )
+)
+def test_gstar_exit_code_on_randomly_typed_drawing(tmp_path_factory, payload):
+    drawing = tmp_path_factory.mktemp("fuzz") / "d.json"
+    drawing.write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["gstar", str(drawing)]) in (0, 1, 2)

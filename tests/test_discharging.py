@@ -10,7 +10,7 @@ from conftest import plane_c5_drawing, poor4_drawing, semipoor5_drawing
 def _pipeline(d):
     apg = build_associated_plane_graph(d)
     vt = classify_vertices(d, apg)
-    ft = classify_faces(apg, vt, d.base)
+    ft = classify_faces(apg, vt)
     return apg, vt, ft
 
 
@@ -54,7 +54,7 @@ def test_pentagon_negatives_are_explained():
 def test_semi_poor_5_face_two_sevens():
     """Both 7-vertices pay 1/2; the 2-vertex collects 1 + 1 = 2."""
     apg, vt, ft = _pipeline(semipoor5_drawing())
-    led = apply_rules(apg, vt, ft, initial_charges(apg))
+    led = apply_rules(apg, vt, ft)
     five = next(i for i, f in enumerate(apg.faces) if f.degree == 5)
     r2 = [t for t in led.transfers if t.rule == "R2" and t.target == ("f", five)]
     assert sorted(t.source for t in r2) == [("v", 0), ("v", 1)]
@@ -71,7 +71,7 @@ def test_semi_poor_5_face_two_sevens():
 def test_semi_poor_5_face_one_seven():
     """With an 8-vertex instead, income halves: the 2-vertex gets 3/2."""
     apg, vt, ft = _pipeline(semipoor5_drawing(extra_leaf=True))
-    led = apply_rules(apg, vt, ft, initial_charges(apg))
+    led = apply_rules(apg, vt, ft)
     five = next(i for i, f in enumerate(apg.faces) if f.degree == 5)
     pays = [t for t in led.transfers if t.target == ("f", five)]
     assert [(t.rule, t.amount) for t in pays] == [("R1", Fraction(1, 2))]
@@ -84,7 +84,7 @@ def test_semi_poor_5_face_one_seven():
 
 def test_r4_hands_out_exactly_the_income():
     apg, vt, ft = _pipeline(semipoor5_drawing())
-    led = apply_rules(apg, vt, ft, initial_charges(apg))
+    led = apply_rules(apg, vt, ft)
     for i, f in enumerate(apg.faces):
         income = sum(
             (t.amount for t in led.transfers if t.target == ("f", i) and t.rule in ("R1", "R2")),
@@ -105,14 +105,14 @@ def test_no_division_by_zero_without_2_vertices():
     from test_embedding import crossed_k4_drawing
 
     apg, vt, ft = _pipeline(crossed_k4_drawing())
-    led = apply_rules(apg, vt, ft, initial_charges(apg))
+    led = apply_rules(apg, vt, ft)
     assert not [t for t in led.transfers if t.rule in ("R3", "R4")]
     assert led.total_initial() == led.total_final() == Fraction(-8)
 
 
 def test_replay_reproduces_final_charges():
     apg, vt, ft = _pipeline(semipoor5_drawing())
-    led = apply_rules(apg, vt, ft, initial_charges(apg))
+    led = apply_rules(apg, vt, ft)
     assert led.replay() == led.mu_star
 
 

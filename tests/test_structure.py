@@ -94,7 +94,7 @@ def test_poor4_classification():
     d = poor4_drawing()
     apg = build_associated_plane_graph(d)
     vt = classify_vertices(d, apg)
-    ft = classify_faces(apg, vt, d.base)
+    ft = classify_faces(apg, vt)
     poor = [i for i, c in enumerate(ft.face_class) if c is FaceClass.POOR4]
     assert len(poor) == 1
     wit = ft.witness[poor[0]]
@@ -120,7 +120,7 @@ def test_semi_poor_5_face():
     d = semipoor5_drawing()
     apg = build_associated_plane_graph(d)
     vt = classify_vertices(d, apg)
-    ft = classify_faces(apg, vt, d.base)
+    ft = classify_faces(apg, vt)
     five = next(i for i, f in enumerate(apg.faces) if f.degree == 5)
     assert ft.face_class[five] is FaceClass.SEMI_POOR
     assert ft.n_2[five] == 1
@@ -132,7 +132,7 @@ def test_c5_faces_are_semi_poor():
     d = plane_c5_drawing()
     apg = build_associated_plane_graph(d)
     vt = classify_vertices(d, apg)
-    ft = classify_faces(apg, vt, d.base)
+    ft = classify_faces(apg, vt)
     assert all(c is FaceClass.SEMI_POOR for c in ft.face_class)
     assert ft.n_2 == [5, 5]
 
@@ -140,7 +140,7 @@ def test_c5_faces_are_semi_poor():
 def test_poor_faces_never_semi_poor(corpus, corpus_apgs):
     for d, apg in zip(corpus, corpus_apgs):
         vt = classify_vertices(d, apg)
-        ft = classify_faces(apg, vt, d.base)
+        ft = classify_faces(apg, vt)
         for cls, n2s in zip(ft.face_class, ft.n_2_special):
             if cls is FaceClass.SEMI_POOR:
                 assert not cls.is_poor
