@@ -162,6 +162,7 @@ def test_gstar_rejects_malformed_drawing(tmp_path, capsys, payload):
     assert code == 2 and err.startswith("error:")
 
 
+# integers stay small: a drawing allocates per-vertex storage for its declared n
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=4),
