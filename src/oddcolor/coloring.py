@@ -481,10 +481,7 @@ def _pick_reducible(d: OnePlanarDrawing, g: Graph) -> list[tuple[int, str]]:
     by_degree = sorted((v for v in range(g.n) if g.adj[v]), key=g.degree)
     out += [(v, "6minus") for v in by_degree if is_low(g.degree(v))]
     easy = easy_vertices(g)
-    for v in by_degree:
-        n_e = sum(1 for u in g.adj[v] if u in easy)
-        if breaks_lemma4(g.degree(v), [g.degree(u) for u in g.adj[v]], n_e):
-            out.append((v, "lemma4"))
+    out += [(v, "lemma4") for v in by_degree if breaks_lemma4(g, v, easy)]
     if not out:
         try:
             apg = build_associated_plane_graph(_rebuild_subdrawing(d, set(g.edges)))

@@ -139,10 +139,12 @@ def apply_rules(apg: AssociatedPlaneGraph, vt: VertexTags, ft: FaceTags) -> Char
                 if v in vt.special_2:
                     transfers.append(Transfer(("f", i), ("v", v), share, "R4"))
 
-    ledger = initial_charges(apg)
-    ledger.transfers = transfers
-    ledger.mu_star = ledger.replay()
-    return ledger
+    mu = initial_charges(apg).mu
+    mu_star = dict(mu)
+    for t in transfers:
+        mu_star[t.source] -= t.amount
+        mu_star[t.target] += t.amount
+    return ChargeLedger(mu=mu, mu_star=mu_star, transfers=transfers)
 
 
 @dataclass

@@ -36,15 +36,23 @@ def is_easy(degree: int, neighbor_degrees: Iterable[int], colors: int = PALETTE)
     )
 
 
-def breaks_lemma4(
-    degree: int, neighbor_degrees: Iterable[int], n_easy: int, colors: int = PALETTE
-) -> bool:
+def easy_neighbors(g: Graph, v: int, easy: set[int]) -> int:
+    """How many neighbors of v lie in easy."""
+    return sum(1 for u in g.adj[v] if u in easy)
+
+
+def breaks_lemma4(g: Graph, v: int, easy: set[int], colors: int = PALETTE) -> bool:
     """Lemma 4's bound fails: an easy vertex of degree above the low ones has
-    more than 2d - colors easy neighbors, so it is reducible."""
+    more than 2d - colors easy neighbors, so it is reducible.
+
+    easy is easy_vertices(g, colors); its neighbors are counted last, only
+    for the vertices the cheaper tests leave.
+    """
+    d = g.degree(v)
     return (
-        not is_low(degree, colors)
-        and n_easy > 2 * degree - colors
-        and is_easy(degree, neighbor_degrees, colors)
+        not is_low(d, colors)
+        and v in easy
+        and easy_neighbors(g, v, easy) > 2 * d - colors
     )
 
 
@@ -406,14 +414,13 @@ def detect_lemma_violations(
 
     for x in range(g.n):
         dx = g.degree(x)
-        degs = [g.degree(u) for u in g.adj[x]]
-        n_e = sum(1 for u in g.adj[x] if u in easy)
         if dx and is_low(dx, colors):
-            if dx % 2 == 1 or any(is_low(du, colors) for du in degs):
+            if dx % 2 == 1 or any(is_low(g.degree(u), colors) for u in g.adj[x]):
                 v["L4"].append({"vertex": x, "degree": dx, "reason": "degree"})
-        elif breaks_lemma4(dx, degs, n_e, colors):
+        elif breaks_lemma4(g, x, easy, colors):
             v["L4"].append(
-                {"vertex": x, "degree": dx, "easy_neighbors": n_e,
+                {"vertex": x, "degree": dx,
+                 "easy_neighbors": easy_neighbors(g, x, easy),
                  "reason": "too many easy neighbors"}
             )
 
