@@ -12,6 +12,11 @@ commands (``gstar``, ``classify``, ``lemmas``, ``discharge``) on the same
 drawings, plus a two-component drawing with an isolated vertex and one
 whose second component is not planar.
 
+``golden_generators.json`` was recorded before the generator kept its
+face list incrementally.  It pins the sha256 of ``drawing_to_json`` of
+``random_one_planar(n, seed, crossings=cap)`` for every n in
+``GENERATOR_SIZES``, seeds 0-11 and caps 0, default and n.
+
 Regenerate (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -44,6 +49,7 @@ from conftest import (  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden_reduce_color.json"
 GOLDEN_CLI = Path(__file__).resolve().parent / "golden_cli.json"
+GOLDEN_GENERATORS = Path(__file__).resolve().parent / "golden_generators.json"
 
 # (n, seed) of random_one_planar drawings; the second group splits bridges
 RANDOM = [
@@ -111,8 +117,24 @@ CLI_COMMANDS = {
 }
 
 
+GENERATOR_SIZES = [4, 5, 6, 10, 30, 77, 150, 400]
+GENERATOR_SEEDS = range(12)
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _generator_cases(n: int) -> dict:
+    return {
+        f"s{seed}-cap{cap}": _sha(drawing_to_json(random_one_planar(n, seed, crossings=cap)))
+        for seed in GENERATOR_SEEDS
+        for cap in (0, None, n)
+    }
+
+
+def compute_generators() -> dict:
+    return {f"n{n}": _generator_cases(n) for n in GENERATOR_SIZES}
 
 
 def _drawings() -> dict:
@@ -194,6 +216,12 @@ def test_cli_golden_set_covers_components_and_failures(golden_cli):
     assert {case["exit"] for case in golden_cli["nonplanar-second-component"].values()} == {2}
 
 
+@pytest.mark.parametrize("n", GENERATOR_SIZES)
+def test_generator_drawings_match_golden(n):
+    golden = json.loads(GOLDEN_GENERATORS.read_text())
+    assert _generator_cases(n) == golden[f"n{n}"]
+
+
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_library_result_matches_golden(golden, name):
     assert _library_case(*LIBRARY[name]) == golden["library"][name]
@@ -213,3 +241,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.write_text(json.dumps(compute(Path(tmp)), indent=1, sort_keys=True) + "\n")
         GOLDEN_CLI.write_text(json.dumps(compute_cli(Path(tmp)), indent=1, sort_keys=True) + "\n")
+    GOLDEN_GENERATORS.write_text(json.dumps(compute_generators(), indent=1, sort_keys=True) + "\n")
