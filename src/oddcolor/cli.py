@@ -174,7 +174,10 @@ def cmd_reduce_color(args) -> int:
     d = _load_drawing(args.drawing)
     res = color_by_reduction(d, k=args.k)
     if not res.ok:
-        _emit_json({"ok": False, "trace": res.trace})
+        if args.format == "json":
+            _emit_json({"ok": False, "trace": res.trace})
+        else:
+            sys.stdout.writelines(f"{line}\n" for line in res.trace)
         return 1
     if args.format == "json":
         _emit_json(

@@ -10,11 +10,12 @@ one-crossing-per-edge invariant holds by construction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 
 from .graph import Edge, Graph, norm_edge
-from .embedding import OnePlanarDrawing, trace_faces
+from .embedding import OnePlanarDrawing
 
 
 def cycle(n: int) -> Graph:
@@ -74,18 +75,26 @@ def _insert_vertex(rotation: dict[int, list[int]], face: tuple[int, int, int], v
     rotation[v] = [c, b, a]
 
 
-def _triangle_faces(rotation: dict[int, list[int]]) -> list[tuple[int, int, int]]:
-    faces = trace_faces({v: tuple(o) for v, o in rotation.items()})
-    return [tuple(f.vertices) for f in faces if f.degree == 3]
+def random_plane_triangulation(
+    n: int, rng: random.Random
+) -> tuple[dict[int, list[int]], list[tuple[int, int, int]]]:
+    """Rotation system and faces of a random stacked triangulation on n >= 3 vertices.
 
-
-def random_plane_triangulation(n: int, rng: random.Random) -> dict[int, list[int]]:
-    """Rotation system of a random stacked triangulation on n >= 3 vertices."""
+    The faces are kept in ``trace_faces`` order: a triangle's least dart
+    leaves its least vertex, so each walk starts there, and the walks are
+    sorted.  ``rng.choice`` indexes this list, so the order fixes the
+    drawing a seed gives.  Splitting (a, b, c) by v leaves the walks
+    (a, b, v), (b, c, v) and (c, a, v), where v is the greatest vertex.
+    """
     rotation: dict[int, list[int]] = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
+    faces = [(0, 1, 2), (0, 2, 1)]
     for v in range(3, n):
-        faces = _triangle_faces(rotation)
-        _insert_vertex(rotation, rng.choice(faces), v)
-    return rotation
+        a, b, c = face = rng.choice(faces)
+        del faces[bisect.bisect_left(faces, face)]
+        for x, y in ((a, b), (b, c), (c, a)):
+            bisect.insort(faces, (x, y, v) if x < y else (y, v, x))
+        _insert_vertex(rotation, face, v)
+    return rotation, faces
 
 
 def random_one_planar(
@@ -100,27 +109,20 @@ def random_one_planar(
     if n < 4:
         raise ValueError(f"random_one_planar needs n >= 4, got {n}")
     rng = random.Random(seed)
-    rotation = random_plane_triangulation(n, rng)
+    rotation, faces = random_plane_triangulation(n, rng)
     base_edges = {
         norm_edge(u, v) for u, order in rotation.items() for v in order
     }
     if crossings is None:
         crossings = max(1, n // 5)
 
-    faces = trace_faces({v: tuple(o) for v, o in rotation.items()})
-    dart_face: dict[tuple[int, int], tuple[int, ...]] = {}
+    dart_face: dict[tuple[int, int], tuple[int, int, int]] = {}
     for f in faces:
-        verts = f.vertices
-        for i in range(len(verts)):
-            dart_face[(verts[i], verts[(i + 1) % len(verts)])] = verts
+        a, b, c = f
+        dart_face[(a, b)] = dart_face[(b, c)] = dart_face[(c, a)] = f
 
-    candidates = []
-    for u, v in sorted(base_edges):
-        f1 = dart_face.get((u, v))
-        f2 = dart_face.get((v, u))
-        if f1 is None or f2 is None or len(f1) != 3 or len(f2) != 3:
-            continue
-        candidates.append((u, v))
+    # every edge of a triangulation borders two triangles
+    candidates = sorted(base_edges)
     rng.shuffle(candidates)
 
     used_edges: set[Edge] = set()

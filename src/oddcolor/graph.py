@@ -31,6 +31,8 @@ class Graph:
         ``n`` declares the vertex count (for trailing isolated vertices);
         when omitted it is inferred from the largest id seen.
         """
+        if n is not None and n < 0:
+            raise ValueError(f"vertex count must be non-negative, got n={n}")
         edges = set()
         top = -1
         for pair in pairs:

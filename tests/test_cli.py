@@ -187,3 +187,66 @@ def test_gstar_exit_code_on_randomly_typed_drawing(tmp_path_factory, payload):
     drawing.write_text(json.dumps(payload))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["gstar", str(drawing)]) in (0, 1, 2)
+
+
+def test_negative_vertex_count_names_the_count(tmp_path, capsys):
+    graph = tmp_path / "neg.txt"
+    graph.write_text("p -1 0\n")
+    code, _, err = run(capsys, "chi-odd", str(graph))
+    assert code == 2
+    assert "vertex count must be non-negative, got n=-1" in err and "endpoint" not in err
+
+
+_tokens = st.sampled_from(["p", "e", "x", "#", "-1", "0", "1", "2", "3", "7", "1.5", "+2", "", "p1"])
+_junk = st.lists(st.lists(_tokens, max_size=5).map(" ".join), max_size=2)
+_pair = st.tuples(st.integers(-1, 7), st.integers(-1, 7))
+
+
+def _with_junk(draw, lines: list[str]) -> str:
+    for line in draw(_junk):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _graph_text(draw) -> str:
+    edges = [f"e {u} {v}" for u, v in draw(st.lists(_pair, max_size=6))]
+    # n stays small: a graph allocates one neighbour set per declared vertex
+    n = draw(st.integers(-2, 7))
+    m = draw(st.sampled_from([len(edges), len(edges) + 1, -1]))
+    return _with_junk(draw, [f"p {n} {m}", *edges])
+
+
+@st.composite
+def _coloring_text(draw) -> str:
+    return _with_junk(draw, [f"{v} {c}" for v, c in draw(st.lists(_pair, max_size=8))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _graph_text(),
+    _coloring_text(),
+    st.sampled_from([[], ["--k", "0"], ["--k", "-1"], ["--k", "3"]]),
+    st.sampled_from([[], ["--format", "json"]]),
+)
+def test_verify_exit_code_on_random_texts(tmp_path_factory, graph_text, coloring_text, k, fmt):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    graph, coloring = tmp / "g.txt", tmp / "c.col"
+    graph.write_text(graph_text)
+    coloring.write_text(coloring_text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", str(graph), str(coloring), *k, *fmt]) in (0, 1, 2)
+
+
+def test_reduce_color_failure_follows_format(tmp_path, capsys):
+    """Odd 3-colorings of this drawing do not exist, so the colorer fails."""
+    drawing = tmp_path / "d.json"
+    main(["gen", "random-one-planar", "8", "--seed", "0", "-o", str(drawing)])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "reduce-color", str(drawing), "--k", "3", "--format", "json")
+    assert code == 1
+    trace = json.loads(out)["trace"]
+    assert out == json.dumps({"ok": False, "trace": trace}, sort_keys=True, indent=2) + "\n"
+    assert trace[-1] == "no odd 3-coloring exists on the remainder"
+    code, out, _ = run(capsys, "reduce-color", str(drawing), "--k", "3")
+    assert code == 1 and out == "".join(f"{line}\n" for line in trace)

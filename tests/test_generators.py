@@ -1,12 +1,17 @@
+import random
+import sys
+
 import pytest
 
-from oddcolor.embedding import build_associated_plane_graph
+from oddcolor import embedding
+from oddcolor.embedding import build_associated_plane_graph, trace_faces
 from oddcolor.generators import (
     branch_vertices,
     complete,
     complete_minus_edge,
     cycle,
     random_one_planar,
+    random_plane_triangulation,
     subdivided_complete,
 )
 
@@ -63,6 +68,46 @@ def test_random_one_planar_crossing_cap():
 def test_random_one_planar_minimum_size():
     with pytest.raises(ValueError):
         random_one_planar(3, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 9, 31])
+def test_triangulation_keeps_the_traced_face_list(seed):
+    """After every insertion the kept list is trace_faces's list, in order.
+
+    A triangulation on m vertices makes the first m - 3 insertions of any
+    larger one drawn from the same seed, so each prefix is one step.
+    """
+    for m in range(3, 61):
+        rotation, faces = random_plane_triangulation(m, random.Random(seed))
+        traced = trace_faces(rotation)
+        assert all(f.degree == 3 for f in traced)
+        assert faces == [tuple(f.vertices) for f in traced]
+
+
+def test_random_one_planar_traces_no_faces(monkeypatch):
+    calls = []
+    real = embedding.trace_faces
+
+    def counting(rotation):
+        calls.append(1)
+        return real(rotation)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("oddcolor")]:
+        for key, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, key, counting)
+    random_one_planar(300, seed=1)
+    assert len(calls) == 0
+    build_associated_plane_graph(random_one_planar(10, seed=1))
+    assert len(calls) == 1  # the counter sees trace_faces where it is called
+
+
+def test_random_one_planar_large_drawing_under_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    d = random_one_planar(6400, seed=3)
+    d.validate()
+    apg = build_associated_plane_graph(d)
+    assert d.base.n == 6400 and len(apg.star_vertices) == d.num_crossings == 6400 // 5
 
 
 def test_corpus_drawings_validate_and_planarize(corpus, corpus_apgs):
