@@ -216,10 +216,14 @@ def test_cli_golden_set_covers_components_and_failures(golden_cli):
     assert {case["exit"] for case in golden_cli["nonplanar-second-component"].values()} == {2}
 
 
+@pytest.fixture(scope="module")
+def golden_generators() -> dict:
+    return json.loads(GOLDEN_GENERATORS.read_text())
+
+
 @pytest.mark.parametrize("n", GENERATOR_SIZES)
-def test_generator_drawings_match_golden(n):
-    golden = json.loads(GOLDEN_GENERATORS.read_text())
-    assert _generator_cases(n) == golden[f"n{n}"]
+def test_generator_drawings_match_golden(golden_generators, n):
+    assert _generator_cases(n) == golden_generators[f"n{n}"]
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY))
