@@ -127,6 +127,77 @@ def plane_c5_drawing() -> OnePlanarDrawing:
     return OnePlanarDrawing(base=g, crossings=(), rotation=rot)
 
 
+_K4_EDGES = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+_K4_ROTATION = {"0": [1, 3, 2], "1": [0, 2, 3], "2": [1, 0, 3], "3": [2, 0, 1]}
+
+
+def _k4(crossings=None, **rotation) -> dict:
+    """A plane K4 drawing payload, with crossings and rotation entries replaced."""
+    payload = {"n": 4, "edges": _K4_EDGES, "rotation": {**_K4_ROTATION, **rotation}}
+    if crossings is not None:
+        payload["crossings"] = crossings
+    return payload
+
+
+def _k4_renamed(key: str) -> dict:
+    """The plane K4 payload with vertex 1's rotation key written as key."""
+    payload = _k4()
+    payload["rotation"] = {key if v == "1" else v: order for v, order in _K4_ROTATION.items()}
+    return payload
+
+
+# Drawing payloads that `gstar` must reject with exit code 2, by name.  The
+# first twelve keep their place: tests name them by position.
+MALFORMED_DRAWINGS = {
+    "n-string": {"n": "x", "edges": [[0, 1]]},
+    "rotation-order-int": {"n": 2, "edges": [[0, 1]], "rotation": {"0": 5, "1": [0]}},
+    "edge-float": {"n": 2, "edges": [[0, 1.5]]},
+    "edge-string": {"n": 2, "edges": [[0, "1"]]},
+    "n-bool": {"n": True, "edges": []},
+    "n-negative": {"n": -1, "edges": []},
+    "edges-object": {"n": 3, "edges": {"0": 1}},
+    "edge-length-3": {"n": 3, "edges": [[0, 1, 2]]},
+    "crossing-length-1": {"n": 2, "edges": [[0, 1]], "crossings": [[0]]},
+    "crossings-int": {"n": 2, "edges": [[0, 1]], "crossings": 7},
+    "rotation-list": {"n": 2, "edges": [[0, 1]], "rotation": [[1], [0]]},
+    "top-level-list": [2, [[0, 1]]],
+    "edge-not-list": {"n": 2, "edges": [[0, 1], 7]},
+    "edge-integral-float": {"n": 2, "edges": [[0, 1.0]]},
+    "edge-bool": {"n": 2, "edges": [[0, 1], [True, 0]]},
+    "edge-nested": {"n": 3, "edges": [[0, 1], [[1], 2]]},
+    "edge-length-1": {"n": 2, "edges": [[0]]},
+    "edge-self-loop": {"n": 3, "edges": [[0, 1], [2, 2]]},
+    "edge-negative-id": {"n": 3, "edges": [[0, 1], [2, -1]]},
+    "edge-loop-before-negative": {"n": 3, "edges": [[1, 1], [-1, 0]]},
+    "edge-negative-before-loop": {"n": 3, "edges": [[0, -1], [1, 1]]},
+    "edge-endpoint-n": {"n": 3, "edges": [[0, 1], [1, 3]]},
+    "crossing-length-3": _k4([[1, 4, 0]]),
+    "crossing-bool": _k4([[1, True]]),
+    "crossing-integral-float": _k4([[1.0, 4]]),
+    "crossing-nested": _k4([[1, [4]]]),
+    "crossing-index-m": _k4([[1, 6]]),
+    "crossing-negative-index": _k4([[-1, 4]]),
+    "crossing-range-before-type": _k4([[1, 9], [0, True]]),
+    "crossing-without-rotation": {"n": 4, "edges": _K4_EDGES, "crossings": [[1, 4]]},
+    "rotation-order-object": _k4(**{"2": {"1": 0}}),
+    "rotation-bool": _k4(**{"2": [1, True, 3]}),
+    "rotation-float": _k4(**{"2": [1, 0.0, 3]}),
+    "rotation-nested": _k4(**{"2": [1, [0], 3]}),
+    "rotation-repeat": _k4(**{"2": [1, 0, 1]}),
+    "rotation-uncovered": _k4(**{"0": [1, 3], "2": [1, 3]}),
+    "rotation-asymmetric": _k4(**{"3": [2, 0]}),
+    "rotation-key-out-of-range": _k4(**{"9": []}),
+    "rotation-key-negative": _k4(**{"-1": []}),
+    "rotation-key-letter": _k4(x=[1]),
+    "rotation-key-empty": _k4(**{"": []}),
+    "rotation-key-leading-zero": _k4_renamed("01"),
+    "rotation-key-space": _k4_renamed(" 1"),
+    "rotation-key-plus": _k4_renamed("+1"),
+    "rotation-key-duplicate": _k4(**{"01": [3, 2, 0]}),
+    "rotation-key-underscore": {"n": 11, "edges": [[0, 10]], "rotation": {"0": [10], "1_0": [0]}},
+}
+
+
 CORPUS_SIZE = 100
 
 

@@ -12,6 +12,15 @@ commands (``gstar``, ``classify``, ``lemmas``, ``discharge``) on the same
 drawings, plus a two-component drawing with an isolated vertex and one
 whose second component is not planar.
 
+``golden_malformed.json`` pins the stdout, stderr and exit code of
+``gstar`` on each malformed drawing of ``conftest.MALFORMED_DRAWINGS``,
+with the drawing's path written as its file name.  It was recorded before
+the drawing decoder's bulk type checks.  The rotation-key cases whose
+outputs changed since, because keys must be canonical vertex ids, were
+recorded again after that change: ``rotation-key-duplicate``,
+``-empty``, ``-leading-zero``, ``-letter``, ``-plus``, ``-space`` and
+``-underscore``.
+
 ``golden_generators.json`` was recorded before the generator kept its
 face list incrementally.  It pins the sha256 of ``drawing_to_json`` of
 ``random_one_planar(n, seed, crossings=cap)`` for every n in
@@ -41,6 +50,7 @@ from oddcolor.graph import Graph
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import (  # noqa: E402
+    MALFORMED_DRAWINGS,
     plane_c5_drawing,
     poor4_drawing,
     semipoor5_drawing,
@@ -50,6 +60,7 @@ from conftest import (  # noqa: E402
 GOLDEN = Path(__file__).resolve().parent / "golden_reduce_color.json"
 GOLDEN_CLI = Path(__file__).resolve().parent / "golden_cli.json"
 GOLDEN_GENERATORS = Path(__file__).resolve().parent / "golden_generators.json"
+GOLDEN_MALFORMED = Path(__file__).resolve().parent / "golden_malformed.json"
 
 # (n, seed) of random_one_planar drawings; the second group splits bridges
 RANDOM = [
@@ -164,24 +175,36 @@ def _cli_drawings() -> dict:
     return {**_drawings(), **CLI_EXTRA}
 
 
+def _pinned_run(command: str, path: Path, *flags: str) -> dict:
+    """Exit code and output digests of one CLI call on path, named in stderr by its file name."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, str(path), *flags])
+    return {
+        "exit": code,
+        "stdout_sha256": _sha(stdout.getvalue()),
+        "stderr_sha256": _sha(stderr.getvalue().replace(str(path), path.name)),
+    }
+
+
 def _analysis_case(make, tmp: Path) -> dict:
     path = tmp / "drawing.json"
     path.write_text(drawing_to_json(make()))
-    out = {}
-    for name, (command, *flags) in CLI_COMMANDS.items():
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main([command, str(path), *flags])
-        out[name] = {
-            "exit": code,
-            "stdout_sha256": _sha(stdout.getvalue()),
-            "stderr_sha256": _sha(stderr.getvalue()),
-        }
-    return out
+    return {name: _pinned_run(command, path, *flags) for name, (command, *flags) in CLI_COMMANDS.items()}
 
 
 def compute_cli(tmp: Path) -> dict:
     return {name: _analysis_case(make, tmp) for name, make in _cli_drawings().items()}
+
+
+def _malformed_case(payload, tmp: Path) -> dict:
+    path = tmp / "drawing.json"
+    path.write_text(json.dumps(payload))
+    return _pinned_run("gstar", path)
+
+
+def compute_malformed(tmp: Path) -> dict:
+    return {name: _malformed_case(payload, tmp) for name, payload in MALFORMED_DRAWINGS.items()}
 
 
 def compute(tmp: Path) -> dict:
@@ -217,6 +240,16 @@ def test_cli_golden_set_covers_components_and_failures(golden_cli):
 
 
 @pytest.fixture(scope="module")
+def golden_malformed() -> dict:
+    return json.loads(GOLDEN_MALFORMED.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DRAWINGS))
+def test_malformed_drawings_match_golden(golden_malformed, name, tmp_path):
+    assert _malformed_case(MALFORMED_DRAWINGS[name], tmp_path) == golden_malformed[name]
+
+
+@pytest.fixture(scope="module")
 def golden_generators() -> dict:
     return json.loads(GOLDEN_GENERATORS.read_text())
 
@@ -245,4 +278,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.write_text(json.dumps(compute(Path(tmp)), indent=1, sort_keys=True) + "\n")
         GOLDEN_CLI.write_text(json.dumps(compute_cli(Path(tmp)), indent=1, sort_keys=True) + "\n")
+        GOLDEN_MALFORMED.write_text(json.dumps(compute_malformed(Path(tmp)), indent=1, sort_keys=True) + "\n")
     GOLDEN_GENERATORS.write_text(json.dumps(compute_generators(), indent=1, sort_keys=True) + "\n")
