@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .graph import Graph, format_edge_list, parse_edge_list
+from .graph import format_edge_list, parse_edge_list
 from .embedding import (
     build_associated_plane_graph,
     drawing_from_json,
@@ -42,16 +42,10 @@ class InputError(Exception):
     pass
 
 
-def _load_graph(path: str) -> Graph:
+def _load(parse, path: str):
+    """parse applied to the text of path; a ValueError names the file."""
     try:
-        return parse_edge_list(_read(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_drawing(path: str):
-    try:
-        return drawing_from_json(_read(path))
+        return parse(_read(path))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -61,7 +55,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def cmd_chi_odd(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(parse_edge_list, args.graph)
     kmax = args.kmax if args.kmax is not None else max(g.n, 1)
     value, witness = exact_odd_chromatic_number(g, kmax)
     if value is None:
@@ -77,11 +71,8 @@ def cmd_chi_odd(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        c = parse_coloring(_read(args.coloring), g, k=args.k)
-    except ValueError as exc:
-        raise InputError(f"{args.coloring}: {exc}") from exc
+    g = _load(parse_edge_list, args.graph)
+    c = _load(lambda text: parse_coloring(text, g, k=args.k), args.coloring)
     rep = verify_odd_coloring(g, c)
     payload = {
         "k": c.k,
@@ -100,7 +91,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gstar(args) -> int:
-    d = _load_drawing(args.drawing)
+    d = _load(drawing_from_json, args.drawing)
     apg = build_associated_plane_graph(d)
     nv = sum(1 for v in range(apg.gstar.n) if apg.gstar.adj[v])
     ne = len(apg.gstar.edges)
@@ -123,7 +114,7 @@ def cmd_gstar(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    d = _load_drawing(args.drawing)
+    d = _load(drawing_from_json, args.drawing)
     apg = build_associated_plane_graph(d)
     vt = classify_vertices(d, apg)
     ft = classify_faces(apg, vt)
@@ -132,7 +123,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    d = _load_drawing(args.drawing)
+    d = _load(drawing_from_json, args.drawing)
     apg = build_associated_plane_graph(d)
     rep = detect_lemma_violations(d, apg, colors=args.colors)
     _emit_json(rep.to_jsonable())
@@ -140,7 +131,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    d = _load_drawing(args.drawing)
+    d = _load(drawing_from_json, args.drawing)
     apg = build_associated_plane_graph(d)
     vt = classify_vertices(d, apg)
     ft = classify_faces(apg, vt)
@@ -171,7 +162,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reduce_color(args) -> int:
-    d = _load_drawing(args.drawing)
+    d = _load(drawing_from_json, args.drawing)
     res = color_by_reduction(d, k=args.k)
     if not res.ok:
         if args.format == "json":
@@ -250,9 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first call of main
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError) as exc:

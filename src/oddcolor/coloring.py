@@ -58,23 +58,24 @@ def min_odd_color(g: Graph, c: Coloring, v: int) -> int | None:
 
 
 def verify_odd_coloring(g: Graph, c: Coloring) -> OddReport:
-    proper = set()
-    for u, v in g.edges:
-        if u in c.assign and v in c.assign and c.assign[u] == c.assign[v]:
-            proper.add((u, v))
+    """Violations of c on g; oddness is read from each vertex's color-parity bitmask."""
+    get = c.assign.get
+    proper = frozenset(e for e in g.edges if (a := get(e[0])) is not None and a == get(e[1]))
     odd_bad = set()
-    for v in range(g.n):
-        if not g.adj[v]:
-            continue  # isolated vertices are exempt
-        if any(u not in c.assign for u in g.adj[v]):
-            continue  # cannot judge oddness; reported via uncolored
-        if not odd_color_set(g, c, v):
-            odd_bad.add(v)
-    uncolored = frozenset(v for v in range(g.n) if v not in c.assign)
+    for v, nbrs in enumerate(g.adj):
+        mask = 0
+        for u in nbrs:
+            a = get(u)
+            if a is None:
+                break  # cannot judge oddness; reported via uncolored
+            mask ^= 1 << a
+        else:
+            if nbrs and not mask:  # isolated vertices are exempt
+                odd_bad.add(v)
     return OddReport(
-        proper_violations=frozenset(proper),
+        proper_violations=proper,
         odd_violations=frozenset(odd_bad),
-        uncolored=uncolored,
+        uncolored=frozenset(v for v in range(g.n) if v not in c.assign),
     )
 
 

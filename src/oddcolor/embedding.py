@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .graph import Edge, Graph, norm_edge
@@ -48,9 +50,9 @@ class OnePlanarDrawing:
             z = star.get(e)
             if z is None:
                 origin[e] = e
-            else:
-                origin[norm_edge(e[0], z)] = e
-                origin[norm_edge(e[1], z)] = e
+            else:  # z > e[1] > e[0]
+                origin[e[0], z] = e
+                origin[e[1], z] = e
         return origin
 
     def validate(self) -> None:
@@ -70,14 +72,15 @@ class OnePlanarDrawing:
                 )
         planar_edges = self.planarization().keys()
         nverts = n + len(self.crossings)
-        rot_edges: set[Edge] = set()
         for v, order in self.rotation.items():
             if not 0 <= v < nverts:
                 raise ValueError(f"rotation key {v} out of range")
             if len(set(order)) != len(order):
                 raise ValueError(f"rotation at {v} repeats a neighbor")
-            for w in order:
-                rot_edges.add(norm_edge(v, w))
+        darts = {(v, w) for v, order in self.rotation.items() for w in order}
+        if darts == {*planar_edges, *[(v, u) for u, v in planar_edges]}:
+            return
+        rot_edges = {(v, w) if v <= w else (w, v) for v, w in darts}
         if rot_edges != planar_edges:
             missing = planar_edges - rot_edges
             extra = rot_edges - planar_edges
@@ -86,7 +89,7 @@ class OnePlanarDrawing:
                 f"(missing={sorted(missing)}, extra={sorted(extra)})"
             )
         for u, v in planar_edges:
-            if v not in self.rotation.get(u, ()) or u not in self.rotation.get(v, ()):
+            if (u, v) not in darts or (v, u) not in darts:
                 raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
 
     def without_vertex(self, v: int) -> "OnePlanarDrawing":
@@ -165,12 +168,18 @@ class AssociatedPlaneGraph:
     def is_star(self, v: int) -> bool:
         return v in self.star_vertices
 
+    @cached_property
+    def face_incidence(self) -> dict[int, list[int]]:
+        """Indices of the faces on each vertex's walks, ascending, with multiplicity."""
+        out: dict[int, list[int]] = {}
+        for i, f in enumerate(self.faces):
+            for x, _ in f.walk:
+                out.setdefault(x, []).append(i)
+        return out
+
     def faces_at(self, v: int) -> list[int]:
         """Indices of faces incident to v (with multiplicity)."""
-        out = []
-        for i, f in enumerate(self.faces):
-            out.extend(i for x, _ in f.walk if x == v)
-        return out
+        return list(self.face_incidence.get(v, ()))
 
     def split_components(self) -> list[tuple[list[int], list[int]]]:
         """Sorted vertices and face indices of each component with an edge.
@@ -277,18 +286,31 @@ def drawing_to_json(d: OnePlanarDrawing) -> str:
 
 def _ints(value, what: str, size: int | None = None) -> list[int]:
     """value, checked to be a JSON list of integers, of length size if given."""
-    if (
-        not isinstance(value, list)
-        or {*map(type, value)} - {int}
-        or size not in (None, len(value))
-    ):
+    if not _int_lists([value], size):
         raise ValueError(
             f"{what} must be a list of {size or 'any number of'} integers, got {value!r}"
         )
     return value
 
 
+def _int_lists(rows: list, size: int | None = None) -> bool:
+    """Whether every row is a list of integers, of length size if given, in C-level passes."""
+    return (
+        {*map(type, rows)} <= {list}
+        and (size is None or {*map(len, rows)} <= {size})
+        and {*map(type, chain.from_iterable(rows))} <= {int}
+    )
+
+
+def _vertex_id(key: str) -> int:
+    """A rotation key as a vertex id, which it must spell as str() does."""
+    if key.removeprefix("-").isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"rotation key {key!r} is not a canonical vertex id")
+
+
 def drawing_from_json(text: str) -> OnePlanarDrawing:
+    """Decode and validate a drawing; bad entries are named only after a bulk check fails."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -304,7 +326,10 @@ def drawing_from_json(text: str) -> OnePlanarDrawing:
     raw_edges = payload["edges"]
     if not isinstance(raw_edges, list):
         raise ValueError("field 'edges' must be a list")
-    edges = [norm_edge(*_ints(e, "edge", 2)) for e in raw_edges]
+    if not _int_lists(raw_edges, 2):
+        for e in raw_edges:
+            _ints(e, "edge", 2)
+    edges = [(u, v) if u <= v else (v, u) for u, v in raw_edges]
     base = Graph.from_edge_list(edges, n=n)
     raw_crossings = payload.get("crossings", [])
     if not isinstance(raw_crossings, list):
@@ -323,10 +348,11 @@ def drawing_from_json(text: str) -> OnePlanarDrawing:
     elif not isinstance(rotation_raw, dict):
         raise ValueError("field 'rotation' must be an object")
     else:
-        rotation = {
-            int(v): tuple(_ints(order, f"rotation at {v}"))
-            for v, order in rotation_raw.items()
-        }
+        keys = [*map(_vertex_id, rotation_raw)]
+        if not _int_lists([*rotation_raw.values()]):
+            for v, order in rotation_raw.items():
+                _ints(order, f"rotation at {v}")
+        rotation = dict(zip(keys, map(tuple, rotation_raw.values())))
     d = OnePlanarDrawing(base=base, crossings=tuple(crossings), rotation=rotation)
     d.validate()
     return d

@@ -141,14 +141,10 @@ def classify_vertices(
     m_star = {
         v: sum(1 for u in apg.gstar.adj[v] if u in stars) for v in range(g.n)
     }
-    face_degrees_at: dict[int, list[int]] = {}
-    for f in apg.faces:
-        for v, _ in f.walk:
-            face_degrees_at.setdefault(v, []).append(f.degree)
     special_2 = {
         v
         for v in range(g.n)
-        if g.degree(v) == 2 and 4 in face_degrees_at.get(v, [])
+        if g.degree(v) == 2 and any(apg.faces[i].degree == 4 for i in apg.faces_at(v))
     }
     special_7 = {
         v for v in range(g.n) if g.degree(v) == 7 and _is_special_7(v, apg)

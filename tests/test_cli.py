@@ -5,8 +5,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddcolor import cli
 from oddcolor.cli import main
 from oddcolor.graph import Graph, format_edge_list
+
+from conftest import MALFORMED_DRAWINGS
 
 
 def run(capsys, *argv):
@@ -138,23 +141,7 @@ def test_chi_odd_long_path_needs_no_recursion(tmp_path, capsys):
     assert code == 0 and out.strip() == "3"
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"n": "x", "edges": [[0, 1]]},
-        {"n": 2, "edges": [[0, 1]], "rotation": {"0": 5, "1": [0]}},
-        {"n": 2, "edges": [[0, 1.5]]},
-        {"n": 2, "edges": [[0, "1"]]},
-        {"n": True, "edges": []},
-        {"n": -1, "edges": []},
-        {"n": 3, "edges": {"0": 1}},
-        {"n": 3, "edges": [[0, 1, 2]]},
-        {"n": 2, "edges": [[0, 1]], "crossings": [[0]]},
-        {"n": 2, "edges": [[0, 1]], "crossings": 7},
-        {"n": 2, "edges": [[0, 1]], "rotation": [[1], [0]]},
-        [2, [[0, 1]]],
-    ],
-)
+@pytest.mark.parametrize("payload", MALFORMED_DRAWINGS.values())
 def test_gstar_rejects_malformed_drawing(tmp_path, capsys, payload):
     drawing = tmp_path / "d.json"
     drawing.write_text(json.dumps(payload))
@@ -250,3 +237,62 @@ def test_reduce_color_failure_follows_format(tmp_path, capsys):
     assert trace[-1] == "no odd 3-coloring exists on the remainder"
     code, out, _ = run(capsys, "reduce-color", str(drawing), "--k", "3")
     assert code == 1 and out == "".join(f"{line}\n" for line in trace)
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "x", ""])
+def test_rotation_keys_must_be_canonical_vertex_ids(tmp_path, capsys, key):
+    """Vertex 1's rotation under a key that int() reads as a vertex id, or not at all."""
+    rotation = {"0": [1, 3, 2], key: [0, 2, 3], "2": [1, 0, 3], "3": [2, 0, 1]}
+    drawing = tmp_path / "d.json"
+    drawing.write_text(json.dumps({"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], "rotation": rotation}))
+    code, out, err = run(capsys, "gstar", str(drawing))
+    assert (code, out) == (2, "")
+    assert err == f"error: {drawing}: rotation key {key!r} is not a canonical vertex id\n"
+
+
+def _call(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    graph = tmp_path / "c5.txt"
+    for argv in (["gen", "cycle", "5", "-o", str(graph)], ["chi-odd", str(graph)], ["chi-odd", str(graph), "--format", "json"]):
+        assert _call(argv)[0] == 0
+    assert built == [1]
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
+    """Each call of a mixed sequence prints what it prints alone, with a new parser."""
+    drawing, graph, coloring = tmp_path / "d.json", tmp_path / "g.txt", tmp_path / "c.col"
+    main(["gen", "random-one-planar", "12", "--seed", "3", "-o", str(drawing)])
+    d = json.loads(drawing.read_text())
+    graph.write_text(format_edge_list(Graph.from_edge_list(d["edges"], n=d["n"])))
+    sequence = [
+        ["reduce-color", str(drawing), "--format", "json"],
+        ["reduce-color", str(drawing)],
+        ["gstar", str(drawing)],
+        ["verify", str(graph), str(coloring), "--k", "13"],
+        ["verify", str(graph)],  # argparse error: the coloring is missing
+        ["chi-odd", str(graph)],
+    ]
+    code, text, _ = _call(sequence[1])
+    coloring.write_text(text)
+    in_sequence = [_call(argv) for argv in sequence]
+    alone = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(_call(argv))
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 2, 0]
+    assert json.loads(alone[0][1])["k"] == 13 and not alone[1][1].startswith("{")

@@ -233,6 +233,38 @@ def test_solver_agrees_with_brute_force(n, seed):
     assert exact_odd_chromatic_number(g, kmax)[0] == oracle
 
 
+@st.composite
+def _graph_and_partial_coloring(draw):
+    """A graph with isolated vertices likely, and colors on some of its vertices."""
+    n = draw(st.integers(0, 9))
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool), max_size=14)) if pool else []
+    k = draw(st.integers(1, 5))
+    assign = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, k))) if n else {}
+    g = Graph.from_edge_list(edges, n=n)
+    return g, Coloring.of(g, assign, k=k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_partial_coloring())
+def test_verify_agrees_with_a_counting_oracle(case):
+    g, c = case
+    color = c.assign
+    neighbors = {v: [u for e in g.edges for u in e if v in e and u != v] for v in range(g.n)}
+    proper = {(u, v) for u, v in g.edges if u in color and v in color and color[u] == color[v]}
+    odd = {
+        v
+        for v, nbrs in neighbors.items()
+        if nbrs
+        and all(u in color for u in nbrs)
+        and all(sum(color[u] == a for u in nbrs) % 2 == 0 for a in {color[u] for u in nbrs})
+    }
+    rep = verify_odd_coloring(g, c)
+    assert rep.proper_violations == proper
+    assert rep.odd_violations == odd
+    assert rep.uncolored == {v for v in range(g.n) if v not in color}
+
+
 # ---------------------------------------------------------------------------
 # extension and reduction
 

@@ -229,3 +229,27 @@ def test_special7_drawing_shape():
     assert sorted(f.degree for f in apg.faces) == [3] * 7 + [51]
     assert len(apg.star_vertices) == 3
     assert len(apg.faces_at(0)) == 7
+
+
+def _faces_at_by_scan(apg, v: int) -> list[int]:
+    """Face indices at v by scanning every walk, once per incidence."""
+    return [i for i, f in enumerate(apg.faces) for x, _ in f.walk if x == v]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [plane_c5_drawing, poor4_drawing, special7_drawing, crossed_k4_drawing]
+    + [lambda n=n, seed=seed: random_one_planar(n, seed=seed) for n in (5, 12, 40, 90) for seed in range(3)],
+)
+def test_face_incidence_matches_a_scan_of_the_walks(make):
+    """special7's outer walk passes some vertices more than once."""
+    apg = build_associated_plane_graph(make())
+    for v in range(-1, apg.gstar.n + 2):
+        assert apg.faces_at(v) == _faces_at_by_scan(apg, v)
+    assert sum(map(len, apg.face_incidence.values())) == sum(f.degree for f in apg.faces)
+
+
+def test_faces_at_returns_a_copy():
+    apg = build_associated_plane_graph(special7_drawing())
+    apg.faces_at(0).clear()
+    assert len(apg.faces_at(0)) == 7
