@@ -170,7 +170,7 @@ class AssociatedPlaneGraph:
 
     @cached_property
     def face_incidence(self) -> dict[int, list[int]]:
-        """Indices of the faces on each vertex's walks, ascending, with multiplicity."""
+        """Each vertex's faces, ascending, once per pass of their walks through it."""
         out: dict[int, list[int]] = {}
         for i, f in enumerate(self.faces):
             for x, _ in f.walk:

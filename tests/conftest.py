@@ -139,7 +139,7 @@ def _k4(crossings=None, **rotation) -> dict:
     return payload
 
 
-def _k4_renamed(key: str) -> dict:
+def k4_with_rotation_key(key: str) -> dict:
     """The plane K4 payload with vertex 1's rotation key written as key."""
     payload = _k4()
     payload["rotation"] = {key if v == "1" else v: order for v, order in _K4_ROTATION.items()}
@@ -190,9 +190,9 @@ MALFORMED_DRAWINGS = {
     "rotation-key-negative": _k4(**{"-1": []}),
     "rotation-key-letter": _k4(x=[1]),
     "rotation-key-empty": _k4(**{"": []}),
-    "rotation-key-leading-zero": _k4_renamed("01"),
-    "rotation-key-space": _k4_renamed(" 1"),
-    "rotation-key-plus": _k4_renamed("+1"),
+    "rotation-key-leading-zero": k4_with_rotation_key("01"),
+    "rotation-key-space": k4_with_rotation_key(" 1"),
+    "rotation-key-plus": k4_with_rotation_key("+1"),
     "rotation-key-duplicate": _k4(**{"01": [3, 2, 0]}),
     "rotation-key-underscore": {"n": 11, "edges": [[0, 10]], "rotation": {"0": [10], "1_0": [0]}},
 }

@@ -9,7 +9,7 @@ from oddcolor import cli
 from oddcolor.cli import main
 from oddcolor.graph import Graph, format_edge_list
 
-from conftest import MALFORMED_DRAWINGS
+from conftest import MALFORMED_DRAWINGS, k4_with_rotation_key
 
 
 def run(capsys, *argv):
@@ -242,9 +242,8 @@ def test_reduce_color_failure_follows_format(tmp_path, capsys):
 @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "x", ""])
 def test_rotation_keys_must_be_canonical_vertex_ids(tmp_path, capsys, key):
     """Vertex 1's rotation under a key that int() reads as a vertex id, or not at all."""
-    rotation = {"0": [1, 3, 2], key: [0, 2, 3], "2": [1, 0, 3], "3": [2, 0, 1]}
     drawing = tmp_path / "d.json"
-    drawing.write_text(json.dumps({"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], "rotation": rotation}))
+    drawing.write_text(json.dumps(k4_with_rotation_key(key)))
     code, out, err = run(capsys, "gstar", str(drawing))
     assert (code, out) == (2, "")
     assert err == f"error: {drawing}: rotation key {key!r} is not a canonical vertex id\n"
@@ -267,8 +266,12 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
     graph = tmp_path / "c5.txt"
-    for argv in (["gen", "cycle", "5", "-o", str(graph)], ["chi-odd", str(graph)], ["chi-odd", str(graph), "--format", "json"]):
-        assert _call(argv)[0] == 0
+    calls = [
+        ["gen", "cycle", "5", "-o", str(graph)],
+        ["chi-odd", str(graph)],
+        ["chi-odd", str(graph), "--format", "json"],
+    ]
+    assert [_call(argv)[0] for argv in calls] == [0, 0, 0]
     assert built == [1]
 
 
@@ -286,8 +289,7 @@ def test_reused_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
         ["verify", str(graph)],  # argparse error: the coloring is missing
         ["chi-odd", str(graph)],
     ]
-    code, text, _ = _call(sequence[1])
-    coloring.write_text(text)
+    coloring.write_text(_call(sequence[1])[1])
     in_sequence = [_call(argv) for argv in sequence]
     alone = []
     for argv in sequence:
