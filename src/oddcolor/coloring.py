@@ -23,9 +23,12 @@ class Coloring:
 
     @staticmethod
     def of(g: Graph, assign: dict[int, int], k: int | None = None) -> "Coloring":
+        not_int = [v for v, c in assign.items() if type(c) is not int]
+        if not_int:  # verification reads a color as a bit position
+            raise ValueError(f"colors must be integers at vertices {not_int}")
         if k is None:
             k = max(assign.values(), default=1)
-        bad = [v for v, c in assign.items() if type(c) is not int or not 1 <= c <= k]
+        bad = [v for v, c in assign.items() if not 1 <= c <= k]
         if bad:
             raise ValueError(f"colors out of range [1..{k}] at vertices {bad}")
         return Coloring(k=k, assign=dict(assign))

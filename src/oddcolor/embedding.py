@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Mapping, Sequence
 
 from .graph import Edge, Graph, norm_edge
@@ -78,8 +77,6 @@ class OnePlanarDrawing:
             if len(set(order)) != len(order):
                 raise ValueError(f"rotation at {v} repeats a neighbor")
         darts = {(v, w) for v, order in self.rotation.items() for w in order}
-        if darts == {*planar_edges, *[(v, u) for u, v in planar_edges]}:
-            return
         rot_edges = {(v, w) if v <= w else (w, v) for v, w in darts}
         if rot_edges != planar_edges:
             missing = planar_edges - rot_edges
@@ -169,17 +166,17 @@ class AssociatedPlaneGraph:
         return v in self.star_vertices
 
     @cached_property
-    def face_incidence(self) -> dict[int, list[int]]:
+    def _face_incidence(self) -> dict[int, tuple[int, ...]]:
         """Each vertex's faces, ascending, once per pass of their walks through it."""
         out: dict[int, list[int]] = {}
         for i, f in enumerate(self.faces):
             for x, _ in f.walk:
                 out.setdefault(x, []).append(i)
-        return out
+        return {x: tuple(fs) for x, fs in out.items()}
 
-    def faces_at(self, v: int) -> list[int]:
+    def faces_at(self, v: int) -> tuple[int, ...]:
         """Indices of faces incident to v (with multiplicity)."""
-        return list(self.face_incidence.get(v, ()))
+        return self._face_incidence.get(v, ())
 
     def split_components(self) -> list[tuple[list[int], list[int]]]:
         """Sorted vertices and face indices of each component with an edge.
@@ -286,20 +283,15 @@ def drawing_to_json(d: OnePlanarDrawing) -> str:
 
 def _ints(value, what: str, size: int | None = None) -> list[int]:
     """value, checked to be a JSON list of integers, of length size if given."""
-    if not _int_lists([value], size):
+    if (
+        not isinstance(value, list)
+        or {*map(type, value)} - {int}
+        or size not in (None, len(value))
+    ):
         raise ValueError(
             f"{what} must be a list of {size or 'any number of'} integers, got {value!r}"
         )
     return value
-
-
-def _int_lists(rows: list, size: int | None = None) -> bool:
-    """Whether every row is a list of integers, of length size if given, in C-level passes."""
-    return (
-        {*map(type, rows)} <= {list}
-        and (size is None or {*map(len, rows)} <= {size})
-        and {*map(type, chain.from_iterable(rows))} <= {int}
-    )
 
 
 def _vertex_id(key: str) -> int:
@@ -310,7 +302,6 @@ def _vertex_id(key: str) -> int:
 
 
 def drawing_from_json(text: str) -> OnePlanarDrawing:
-    """Decode and validate a drawing; bad entries are named only after a bulk check fails."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -326,10 +317,7 @@ def drawing_from_json(text: str) -> OnePlanarDrawing:
     raw_edges = payload["edges"]
     if not isinstance(raw_edges, list):
         raise ValueError("field 'edges' must be a list")
-    if not _int_lists(raw_edges, 2):
-        for e in raw_edges:
-            _ints(e, "edge", 2)
-    edges = [(u, v) if u <= v else (v, u) for u, v in raw_edges]
+    edges = [norm_edge(*_ints(e, "edge", 2)) for e in raw_edges]
     base = Graph.from_edge_list(edges, n=n)
     raw_crossings = payload.get("crossings", [])
     if not isinstance(raw_crossings, list):
@@ -348,11 +336,10 @@ def drawing_from_json(text: str) -> OnePlanarDrawing:
     elif not isinstance(rotation_raw, dict):
         raise ValueError("field 'rotation' must be an object")
     else:
-        keys = [*map(_vertex_id, rotation_raw)]
-        if not _int_lists([*rotation_raw.values()]):
-            for v, order in rotation_raw.items():
-                _ints(order, f"rotation at {v}")
-        rotation = dict(zip(keys, map(tuple, rotation_raw.values())))
+        rotation = {
+            _vertex_id(v): tuple(_ints(order, f"rotation at {v}"))
+            for v, order in rotation_raw.items()
+        }
     d = OnePlanarDrawing(base=base, crossings=tuple(crossings), rotation=rotation)
     d.validate()
     return d

@@ -8,7 +8,6 @@ them).  Graphs are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
 from typing import Collection, Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -34,27 +33,26 @@ class Graph:
         """
         if n is not None and n < 0:
             raise ValueError(f"vertex count must be non-negative, got n={n}")
-        pairs = list(pairs)
-        normed = [(u, v) if u <= v else (v, u) for u, v in pairs]
-        lows, highs = zip(*normed) if normed else ((), ())
-        if min(lows, default=0) < 0 or any(map(eq, lows, highs)):
-            for u, v in pairs:  # name the first bad pair
-                if u == v:
-                    raise ValueError(f"loop edge not allowed: ({u}, {v})")
-                if u < 0 or v < 0:
-                    raise ValueError(f"negative vertex id in edge ({u}, {v})")
-        top = max(highs, default=-1)
+        edges = set()
+        top = -1
+        for pair in pairs:
+            u, v = pair
+            if u == v:
+                raise ValueError(f"loop edge not allowed: ({u}, {v})")
+            if u < 0 or v < 0:
+                raise ValueError(f"negative vertex id in edge ({u}, {v})")
+            edges.add(norm_edge(u, v))
+            top = max(top, u, v)
         if n is None:
             n = top + 1
         elif top >= n:
             raise ValueError(f"edge endpoint {top} out of range for n={n}")
-        edges = frozenset(normed)
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
         adj = tuple(tuple(sorted(s)) for s in nbrs)
-        return Graph(n=n, edges=edges, adj=adj)
+        return Graph(n=n, edges=frozenset(edges), adj=adj)
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:

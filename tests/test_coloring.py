@@ -409,6 +409,10 @@ def test_coloring_of_rejects_out_of_range_colors():
     g = cycle(3)
     with pytest.raises(ValueError, match="out of range"):
         Coloring.of(g, {0: 4}, k=3)
-    for color in (0, 2.0, 1.5, True):  # verification reads colors as bit positions
-        with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="out of range"):
+        Coloring.of(g, {0: 1, 1: 0}, k=3)
+    for color in (2.0, 1.5, True):  # verification reads colors as bit positions
+        with pytest.raises(ValueError, match=r"colors must be integers at vertices \[1\]"):
             Coloring.of(g, {0: 1, 1: color}, k=3)
+        with pytest.raises(ValueError, match="must be integers"):
+            Coloring.of(g, {0: 1, 1: color})
