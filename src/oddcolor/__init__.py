@@ -13,7 +13,6 @@ from .embedding import (
     build_associated_plane_graph,
     drawing_from_json,
     drawing_to_json,
-    face_profile,
     trace_faces,
 )
 from .coloring import (
@@ -23,8 +22,6 @@ from .coloring import (
     exact_odd_chromatic_number,
     extend_at_vertex,
     find_odd_coloring,
-    forbidden_color_bound,
-    odd_color_set,
     verify_odd_coloring,
 )
 from .structure import (
@@ -73,12 +70,9 @@ __all__ = [
     "easy_vertices",
     "exact_odd_chromatic_number",
     "extend_at_vertex",
-    "face_profile",
     "find_odd_coloring",
     "format_edge_list",
-    "forbidden_color_bound",
     "initial_charges",
-    "odd_color_set",
     "parse_edge_list",
     "random_one_planar",
     "subdivided_complete",

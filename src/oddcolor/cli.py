@@ -38,6 +38,13 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 class InputError(Exception):
     pass
 
@@ -61,12 +68,12 @@ def cmd_chi_odd(args) -> int:
     if value is None:
         print(f"exceeds {kmax}")
         return 1
+    if args.witness and witness is not None:
+        _write(args.witness, format_coloring(witness))
     if args.format == "json":
         _emit_json({"chi_odd": value, "kmax": kmax})
     else:
         print(value)
-    if args.witness and witness is not None:
-        Path(args.witness).write_text(format_coloring(witness))
     return 0
 
 
@@ -104,12 +111,12 @@ def cmd_gstar(args) -> int:
         # build_associated_plane_graph rejects a component that breaks V - E + F = 2
         "euler_ok": True,
     }
+    if args.dot:
+        _write(args.dot, gstar_to_dot(apg))
     if args.format == "json":
         _emit_json(payload)
     else:
         print(f"V={nv} E={ne} F={nf} stars={len(apg.star_vertices)} euler=ok")
-    if args.dot:
-        Path(args.dot).write_text(gstar_to_dot(apg))
     return 0
 
 
@@ -155,7 +162,7 @@ def cmd_gen(args) -> int:
     else:
         text = format_edge_list(GRAPH_FAMILIES[args.family](args.n))
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

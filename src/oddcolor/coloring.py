@@ -45,21 +45,6 @@ class OddReport:
         return not self.proper_violations and not self.odd_violations and not self.uncolored
 
 
-def odd_color_set(g: Graph, c: Coloring, v: int) -> set[int]:
-    """Colors of odd multiplicity on N(v).  All neighbors must be colored."""
-    counts: dict[int, int] = {}
-    for u in g.neighbors(v):
-        if u not in c.assign:
-            raise ValueError(f"neighbor {u} of vertex {v} is uncolored")
-        counts[c.assign[u]] = counts.get(c.assign[u], 0) + 1
-    return {col for col, cnt in counts.items() if cnt % 2 == 1}
-
-
-def min_odd_color(g: Graph, c: Coloring, v: int) -> int | None:
-    s = odd_color_set(g, c, v)
-    return min(s) if s else None
-
-
 def verify_odd_coloring(g: Graph, c: Coloring) -> OddReport:
     """Violations of c on g; oddness is read from each vertex's color-parity bitmask."""
     get = c.assign.get
@@ -181,17 +166,6 @@ def exact_odd_chromatic_number(
 
 # ---------------------------------------------------------------------------
 # the proof-derived extension at a vertex
-
-
-def forbidden_color_bound(g: Graph, c: Coloring, v: int, easy: set[int]) -> int:
-    """Ceiling on colors unavailable to v: 1 per easy neighbor, 2 otherwise."""
-    nbrs = g.neighbors(v)
-    if any(u not in c.assign for u in nbrs):
-        raise ValueError(f"vertex {v} has uncolored neighbors")
-    if not set(easy) <= set(nbrs):
-        raise ValueError("easy set must be a subset of N(v)")
-    n_easy = sum(1 for u in nbrs if u in easy)
-    return n_easy + 2 * (len(nbrs) - n_easy)
 
 
 def extend_at_vertex(g: Graph, c: Coloring, v: int, k: int) -> Coloring | None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .embedding import AssociatedPlaneGraph
-from .structure import FaceClass, FaceTags, LemmaReport, VertexTags
+from .structure import FaceClass, FaceTags, LemmaReport, VertexTags, sevens_of_7710
 
 Element = tuple[str, int]  # ("v", vertex id) or ("f", face index)
 
@@ -88,20 +88,14 @@ def _vertex_payment(
     if cls is FaceClass.SEMI_POOR and df == 4:
         return Fraction(1, 2), "R2"
     if cls is FaceClass.SEMI_POOR and df == 5:
-        sevens = sum(
-            1
-            for x, _ in f.walk
-            if not apg.is_star(x) and apg.gstar.degree(x) == 7
-        )
+        sevens = sum(1 for x in f.walk if not apg.is_star(x) and apg.gstar.degree(x) == 7)
         if sevens == 2:
             return Fraction(1, 2), "R2"
         return None
     if df == 3:
-        has_star = any(apg.is_star(x) for x, _ in f.walk)
-        if has_star:
+        if any(apg.is_star(x) for x in f.walk):
             return Fraction(1, 2), "R2"
-        degs = sorted(apg.gstar.degree(x) for x, _ in f.walk)
-        if degs[0] == 7 and degs[1] == 7 and degs[2] >= 10 and v not in vt.special_7:
+        if sevens_of_7710(f, apg) and v not in vt.special_7:
             return Fraction(1, 2), "R2"
     return None
 
@@ -117,7 +111,7 @@ def apply_rules(apg: AssociatedPlaneGraph, vt: VertexTags, ft: FaceTags) -> Char
     income: dict[int, Fraction] = {i: Fraction(0) for i in range(len(apg.faces))}
 
     for i, f in enumerate(apg.faces):
-        for v, _ in f.walk:
+        for v in f.walk:
             pay = _vertex_payment(apg, vt, ft, v, i)
             if pay is not None:
                 amount, rule = pay
@@ -130,12 +124,12 @@ def apply_rules(apg: AssociatedPlaneGraph, vt: VertexTags, ft: FaceTags) -> Char
         n2s = ft.n_2_special[i]
         if df >= 5 and n2 > 0:
             share = Fraction(df - 4, n2)
-            for v, _ in f.walk:
+            for v in f.walk:
                 if not apg.is_star(v) and apg.gstar.degree(v) == 2:
                     transfers.append(Transfer(("f", i), ("v", v), share, "R3"))
         if df >= 4 and n2s > 0 and income[i] != 0:
             share = income[i] / n2s
-            for v, _ in f.walk:
+            for v in f.walk:
                 if v in vt.special_2:
                     transfers.append(Transfer(("f", i), ("v", v), share, "R4"))
 

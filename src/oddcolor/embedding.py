@@ -136,22 +136,17 @@ def _rebuild_subdrawing(d: OnePlanarDrawing, keep: set[Edge]) -> OnePlanarDrawin
 
 @dataclass(frozen=True)
 class Face:
-    """A boundary walk of the planarization.
+    """A boundary walk of the planarization, as the cycle of vertices it visits.
 
-    ``walk[i]`` is a (vertex, edge) incidence: the walk leaves ``vertex``
-    along ``edge``.  Non-simple faces repeat vertices; all counts downstream
-    are per incidence.
+    The walk leaves ``walk[i]`` along the edge to ``walk[i + 1]`` (cyclically).
+    Non-simple faces repeat vertices; all counts downstream are per incidence.
     """
 
-    walk: tuple[tuple[int, Edge], ...]
+    walk: tuple[int, ...]
 
     @property
     def degree(self) -> int:
         return len(self.walk)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.walk)
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,7 @@ class AssociatedPlaneGraph:
         """Each vertex's faces, ascending, once per pass of their walks through it."""
         out: dict[int, list[int]] = {}
         for i, f in enumerate(self.faces):
-            for x, _ in f.walk:
+            for x in f.walk:
                 out.setdefault(x, []).append(i)
         return {x: tuple(fs) for x, fs in out.items()}
 
@@ -188,7 +183,7 @@ class AssociatedPlaneGraph:
         label = {v: i for i, comp in enumerate(comps) for v in comp}
         faces: list[list[int]] = [[] for _ in comps]
         for i, f in enumerate(self.faces):
-            faces[label[f.walk[0][0]]].append(i)
+            faces[label[f.walk[0]]].append(i)
         return list(zip(comps, faces))
 
 
@@ -206,12 +201,12 @@ def trace_faces(rotation: Mapping[int, Sequence[int]]) -> tuple[Face, ...]:
     for start in sorted(darts):
         if start in seen:
             continue
-        walk: list[tuple[int, Edge]] = []
+        walk: list[int] = []
         cur = start
         while cur not in seen:
             seen.add(cur)
             u, v = cur
-            walk.append((u, norm_edge(u, v)))
+            walk.append(u)
             order = rotation[v]
             i = index_of[v][u]
             w = order[(i + 1) % len(order)]
@@ -260,11 +255,6 @@ def _check_euler(apg: AssociatedPlaneGraph) -> None:
             )
 
 
-def face_profile(f: Face, apg: AssociatedPlaneGraph) -> tuple[tuple[int, bool], ...]:
-    """Cyclic (degree, is_star) sequence along a face walk."""
-    return tuple((apg.gstar.degree(v), apg.is_star(v)) for v, _ in f.walk)
-
-
 # ---------------------------------------------------------------------------
 # drawing JSON + DOT
 
@@ -304,7 +294,7 @@ def _vertex_id(key: str) -> int:
 def drawing_from_json(text: str) -> OnePlanarDrawing:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed drawing JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError("drawing JSON must be an object")

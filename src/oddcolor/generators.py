@@ -56,11 +56,6 @@ def subdivided_complete(n: int) -> Graph:
     return Graph.from_edge_list(pairs, n=mid)
 
 
-def branch_vertices(n: int) -> range:
-    """Branch (degree n-1) vertex ids of subdivided_complete(n)."""
-    return range(n)
-
-
 # ---------------------------------------------------------------------------
 # random plane triangulation with crossings
 

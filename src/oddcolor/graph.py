@@ -64,23 +64,6 @@ class Graph:
             raise ValueError(f"unknown vertex {v}")
         return self.adj[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges
-
-    def without_vertex(self, v: int) -> "Graph":
-        """Graph with all edges at v removed; v stays as an isolated vertex."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"unknown vertex {v}")
-        return Graph.from_edge_list(
-            [e for e in self.edges if v not in e], n=self.n
-        )
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        e = norm_edge(u, v)
-        if e not in self.edges:
-            raise ValueError(f"no such edge {e}")
-        return Graph.from_edge_list([x for x in self.edges if x != e], n=self.n)
-
     def components(self) -> list[set[int]]:
         """Connected components as vertex sets (isolated vertices included)."""
         seen = [False] * self.n

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graph import Edge, Graph, norm_edge
 from .embedding import AssociatedPlaneGraph, Face, OnePlanarDrawing
@@ -56,16 +56,28 @@ def breaks_lemma4(g: Graph, v: int, easy: set[int], colors: int = PALETTE) -> bo
     )
 
 
-def sevens_of_778(f: Face, apg: AssociatedPlaneGraph) -> list[int]:
-    """The degree-7 vertices of f, in walk order, when f is a triangle of
-    original vertices with degrees 7, 7 and 8 (Lemma 8); else [].
+def _sevens_of_77x(
+    f: Face, apg: AssociatedPlaneGraph, third_ok: Callable[[int], bool]
+) -> list[int]:
+    """The degree-7 vertices of f, in walk order, when f is a triangle with
+    degrees 7, 7 and a third accepted by third_ok; else [].
 
     Crossing vertices have degree 4, so these degrees exclude them.
     """
-    degs = [apg.gstar.degree(x) for x, _ in f.walk]
-    if sorted(degs) != [7, 7, 8]:
+    degs = [apg.gstar.degree(x) for x in f.walk]
+    if f.degree != 3 or sorted(degs)[:2] != [7, 7] or not third_ok(max(degs)):
         return []
-    return [x for x, dx in zip(f.vertices, degs) if dx == 7]
+    return [x for x, dx in zip(f.walk, degs) if dx == 7]
+
+
+def sevens_of_778(f: Face, apg: AssociatedPlaneGraph) -> list[int]:
+    """The 7-vertices of a 7-7-8 triangle (Lemma 8), else []."""
+    return _sevens_of_77x(f, apg, lambda d: d == 8)
+
+
+def sevens_of_7710(f: Face, apg: AssociatedPlaneGraph) -> list[int]:
+    """The 7-vertices of a 7-7-10+ triangle (a poor 3-face candidate), else []."""
+    return _sevens_of_77x(f, apg, lambda d: d >= 10)
 
 
 def easy_vertices(g: Graph, colors: int = PALETTE) -> set[int]:
@@ -131,11 +143,9 @@ class FaceTags:
         }
 
 
-def classify_vertices(
-    d: OnePlanarDrawing, apg: AssociatedPlaneGraph, colors: int = PALETTE
-) -> VertexTags:
+def classify_vertices(d: OnePlanarDrawing, apg: AssociatedPlaneGraph) -> VertexTags:
     g = d.base
-    easy = easy_vertices(g, colors)
+    easy = easy_vertices(g)
     stars = set(apg.star_vertices)
     n_e = {v: sum(1 for u in g.adj[v] if u in easy) for v in range(g.n)}
     m_star = {
@@ -206,7 +216,7 @@ def _poor4_witness(
     """Check the poor 4-face pattern (u, 4*, 2-vertex, 4*)."""
     if f.degree != 4:
         return None
-    vs = f.vertices
+    vs = f.walk
     for i in range(4):
         u, z1, v, z2 = vs[i], vs[(i + 1) % 4], vs[(i + 2) % 4], vs[(i + 3) % 4]
         if apg.is_star(u) or apg.is_star(v):
@@ -235,7 +245,7 @@ def _poor6_witness(
     """Check the poor 6-face pattern (u, 4*, 2, 4*, 2, 4*)."""
     if f.degree != 6:
         return None
-    vs = f.vertices
+    vs = f.walk
     for i in range(6):
         u = vs[i]
         z1, v, z2, w, z3 = (vs[(i + j) % 6] for j in range(1, 6))
@@ -267,26 +277,17 @@ def classify_faces(apg: AssociatedPlaneGraph, vt: VertexTags) -> FaceTags:
     n2_list: list[int] = []
     n2s_list: list[int] = []
     for f in apg.faces:
-        n2 = sum(
-            1
-            for v, _ in f.walk
-            if not apg.is_star(v) and apg.gstar.degree(v) == 2
-        )
-        n2s = sum(
-            1 for v, _ in f.walk if v in vt.special_2
-        )
+        n2 = sum(1 for v in f.walk if not apg.is_star(v) and apg.gstar.degree(v) == 2)
+        n2s = sum(1 for v in f.walk if v in vt.special_2)
         cls = FaceClass.ORDINARY
         wit: dict = {}
         deg = f.degree
-        originals = [v for v, _ in f.walk if not apg.is_star(v)]
-        stars_on_f = [v for v, _ in f.walk if apg.is_star(v)]
-        if deg == 3 and not stars_on_f:
-            degs = sorted(apg.gstar.degree(v) for v in originals)
-            if degs[0] == 7 and degs[1] == 7 and degs[2] >= 10:
-                sevens = [v for v in originals if apg.gstar.degree(v) == 7]
-                if all(v in vt.special_7 for v in sevens):
-                    cls = FaceClass.POOR3
-                    wit = {"special_7": sorted(sevens)}
+        originals = [v for v in f.walk if not apg.is_star(v)]
+        if deg == 3:
+            sevens = sevens_of_7710(f, apg)
+            if sevens and all(v in vt.special_7 for v in sevens):
+                cls = FaceClass.POOR3
+                wit = {"special_7": sorted(sevens)}
         elif deg == 4:
             w4 = _poor4_witness(f, apg, vt.easy)
             if w4 is not None:
@@ -310,7 +311,7 @@ def classify_faces(apg: AssociatedPlaneGraph, vt: VertexTags) -> FaceTags:
             ]
             rest_ok = all(
                 apg.is_star(v) or apg.gstar.degree(v) == 2 or apg.gstar.degree(v) >= 8
-                for v, _ in f.walk
+                for v in f.walk
             )
             if len(eights) == 1 and rest_ok and len(originals) - 1 == n2:
                 cls = FaceClass.SEMI_POOR
@@ -353,19 +354,14 @@ class LemmaReport:
                     verts.update(item["edge"])
                 if "face" in item:
                     faces.add(item["face"])
-                    verts.update(
-                        x for x, _ in apg.faces[item["face"]].walk
-                    )
+                    verts.update(apg.faces[item["face"]].walk)
                 if kind == "v" and (
-                    ident in verts
-                    or any(
-                        ident in {x for x, _ in apg.faces[fi].walk} for fi in faces
-                    )
+                    ident in verts or any(ident in set(apg.faces[fi].walk) for fi in faces)
                 ):
                     hits.append(lemma)
                     break
                 if kind == "f":
-                    face_verts = {x for x, _ in apg.faces[ident].walk}
+                    face_verts = set(apg.faces[ident].walk)
                     if ident in faces or (verts & face_verts):
                         hits.append(lemma)
                         break
@@ -424,15 +420,15 @@ def detect_lemma_violations(
         if f.degree <= 2:
             v["L5"].append({"face": i, "reason": f"{f.degree}-face"})
         elif f.degree == 3:
-            stars = sum(1 for x, _ in f.walk if apg.is_star(x))
+            stars = sum(1 for x in f.walk if apg.is_star(x))
             big = sum(
                 1
-                for x, _ in f.walk
+                for x in f.walk
                 if not apg.is_star(x) and not is_low(apg.gstar.degree(x), colors)
             )
             if not (stars == 0 and big == 3) and not (stars == 1 and big == 2):
                 v["L5"].append(
-                    {"face": i, "face_vertices": sorted({x for x, _ in f.walk}),
+                    {"face": i, "face_vertices": sorted(set(f.walk)),
                      "reason": "off-pattern 3-face"}
                 )
 
@@ -449,19 +445,13 @@ def detect_lemma_violations(
     for i, f in enumerate(apg.faces):
         if f.degree != 4:
             continue
-        twos = sum(
-            1
-            for x, _ in f.walk
-            if not apg.is_star(x) and apg.gstar.degree(x) == 2
-        )
-        stars = sum(1 for x, _ in f.walk if apg.is_star(x))
+        twos = sum(1 for x in f.walk if not apg.is_star(x) and apg.gstar.degree(x) == 2)
+        stars = sum(1 for x in f.walk if apg.is_star(x))
         if twos == 2 and stars == 2:
             v["L7"].append({"face": i})
 
     for i, f in enumerate(apg.faces):
         if sevens_of_778(f, apg):
-            v["L8"].append(
-                {"face": i, "face_vertices": sorted({x for x, _ in f.walk})}
-            )
+            v["L8"].append({"face": i, "face_vertices": sorted(set(f.walk))})
 
     return LemmaReport(violations=v)

@@ -149,6 +149,42 @@ def test_gstar_rejects_malformed_drawing(tmp_path, capsys, payload):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["gstar", "reduce-color"])
+def test_deeply_nested_drawing_json_exits_2(tmp_path, capsys, command):
+    """json.dumps cannot build this payload, so the file is written as text."""
+    drawing = tmp_path / "d.json"
+    drawing.write_text("[" * 100_000)
+    code, out, err = run(capsys, command, str(drawing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {drawing}: malformed drawing JSON: ")
+
+
+def _assert_cannot_write(capsys, path, *argv):
+    """The command fails before it prints a result."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_gen_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "c5.txt"
+    _assert_cannot_write(capsys, out, "gen", "cycle", "5", "-o", str(out))
+
+
+def test_chi_odd_unwritable_witness_exits_2(tmp_path, capsys):
+    graph = tmp_path / "c5.txt"
+    main(["gen", "cycle", "5", "-o", str(graph)])
+    witness = tmp_path / "missing" / "w.col"
+    _assert_cannot_write(capsys, witness, "chi-odd", str(graph), "--witness", str(witness))
+
+
+def test_gstar_unwritable_dot_exits_2(tmp_path, capsys):
+    drawing = tmp_path / "d.json"
+    main(["gen", "random-one-planar", "15", "--seed", "3", "-o", str(drawing)])
+    dot = tmp_path / "missing" / "g.dot"
+    _assert_cannot_write(capsys, dot, "gstar", str(drawing), "--dot", str(dot))
+
+
 # integers stay small: a drawing allocates per-vertex storage for its declared n
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=3),

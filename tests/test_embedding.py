@@ -9,7 +9,6 @@ from oddcolor.embedding import (
     build_associated_plane_graph,
     drawing_from_json,
     drawing_to_json,
-    face_profile,
     gstar_to_dot,
     planar_rotation,
     trace_faces,
@@ -17,7 +16,7 @@ from oddcolor.embedding import (
 
 from oddcolor.generators import random_one_planar
 
-from conftest import plane_c5_drawing, poor4_drawing, special7_drawing
+from conftest import plane_c5_drawing, poor4_drawing, semipoor5_drawing, special7_drawing
 
 
 def crossed_k4_drawing() -> OnePlanarDrawing:
@@ -39,7 +38,7 @@ def test_c5_traces_two_pentagon_faces():
     apg = build_associated_plane_graph(plane_c5_drawing())
     assert sorted(f.degree for f in apg.faces) == [5, 5]
     for f in apg.faces:
-        assert sorted(f.vertices) == [0, 1, 2, 3, 4]
+        assert sorted(f.walk) == [0, 1, 2, 3, 4]
 
 
 def test_theta_graph_faces_hand_enumerated():
@@ -49,7 +48,7 @@ def test_theta_graph_faces_hand_enumerated():
     d = OnePlanarDrawing(base=g, crossings=(), rotation=rot)
     apg = build_associated_plane_graph(d)
     assert sorted(f.degree for f in apg.faces) == [4, 4, 4]
-    walks = {frozenset(f.vertices) for f in apg.faces}
+    walks = {frozenset(f.walk) for f in apg.faces}
     assert walks == {
         frozenset({0, 1, 2, 3}),
         frozenset({0, 1, 3, 4}),
@@ -66,13 +65,6 @@ def test_crossed_k4_planarization():
     # degree preservation on originals
     for v in range(4):
         assert apg.gstar.degree(v) == 3
-
-
-def test_face_profile():
-    apg = build_associated_plane_graph(crossed_k4_drawing())
-    tri = next(f for f in apg.faces if f.degree == 3)
-    profile = face_profile(tri, apg)
-    assert sorted(profile) == [(3, False), (3, False), (4, True)]
 
 
 def test_origin_map_round_trip():
@@ -105,7 +97,7 @@ def test_euler_formula_per_component(corpus_apgs):
         for comp in apg.gstar.components():
             nv = len(comp)
             ne = sum(1 for u, v in apg.gstar.edges if u in comp)
-            nf = sum(1 for f in apg.faces if f.walk[0][0] in comp)
+            nf = sum(1 for f in apg.faces if f.walk[0] in comp)
             assert nv - ne + nf == 2
 
 
@@ -231,9 +223,29 @@ def test_special7_drawing_shape():
     assert len(apg.faces_at(0)) == 7
 
 
+@pytest.mark.parametrize(
+    "make",
+    [plane_c5_drawing, poor4_drawing, special7_drawing, crossed_k4_drawing, semipoor5_drawing,
+     lambda: semipoor5_drawing(extra_leaf=True)]
+    + [lambda n=n, seed=seed: random_one_planar(n, seed=seed) for n in (6, 20, 50) for seed in range(4)],
+)
+def test_trace_faces_walks_every_dart_once_by_rotation_successors(make):
+    """A walk's dart (u, v) is followed by (v, w), w the successor of u at v."""
+    rotation = build_associated_plane_graph(make()).rotation
+    walked = []
+    for f in trace_faces(rotation):
+        walk = f.walk
+        for i, u in enumerate(walk):
+            v, w = walk[(i + 1) % len(walk)], walk[(i + 2) % len(walk)]
+            walked.append((u, v))
+            order = rotation[v]
+            assert order[(order.index(u) + 1) % len(order)] == w
+    assert sorted(walked) == sorted((v, w) for v, order in rotation.items() for w in order)
+
+
 def _faces_at_by_scan(apg, v: int) -> tuple[int, ...]:
     """Face indices at v by scanning every walk, once per incidence."""
-    return tuple(i for i, f in enumerate(apg.faces) for x, _ in f.walk if x == v)
+    return tuple(i for i, f in enumerate(apg.faces) for x in f.walk if x == v)
 
 
 @pytest.mark.parametrize(
