@@ -491,6 +491,8 @@ def color_by_reduction(
     greedy search with repair.  The trace records every step, and the
     result has passed one full verification at the end.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     g = d.base
     peel = _Peel(g)
     color = [1] * g.n

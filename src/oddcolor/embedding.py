@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graph import Edge, Graph, norm_edge
 
@@ -85,9 +85,10 @@ class OnePlanarDrawing:
                 f"rotation does not cover the planarization exactly "
                 f"(missing={sorted(missing)}, extra={sorted(extra)})"
             )
-        for u, v in planar_edges:
-            if (u, v) not in darts or (v, u) not in darts:
-                raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
+        if len(darts) != 2 * len(planar_edges):  # some edge has one dart only
+            for u, v in planar_edges:
+                if (u, v) not in darts or (v, u) not in darts:
+                    raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
 
     def without_vertex(self, v: int) -> "OnePlanarDrawing":
         """Drawing with every base edge at v removed (v becomes isolated)."""
@@ -259,16 +260,37 @@ def _check_euler(apg: AssociatedPlaneGraph) -> None:
 # drawing JSON + DOT
 
 
+_PAIR = "[\n      %d,\n      %d\n    ]"  # an edge or a crossing, as an item of a top-level list
+
+
+def _json_block(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
+    """A list (or, with brackets "{}", an object) as ``json.dumps(..., indent=2)``
+    prints it at this indent, from its items' JSON text."""
+    text = (",\n  " + indent).join(items)
+    if not text:
+        return brackets
+    return f"{brackets[0]}\n  {indent}{text}\n{indent}{brackets[1]}"
+
+
 def drawing_to_json(d: OnePlanarDrawing) -> str:
+    """The drawing's JSON object, byte for byte as ``json.dumps(...,
+    sort_keys=True, indent=2) + "\\n"`` prints it.
+
+    It is written directly, because with an indent json runs its
+    pure-Python encoder.  Rotation keys come in string order ("10" before
+    "2"), as sort_keys puts them.
+    """
     edges = sorted(d.base.edges)
     idx = {e: i for i, e in enumerate(edges)}
-    payload = {
-        "n": d.base.n,
-        "edges": [list(e) for e in edges],
-        "crossings": [[idx[e1], idx[e2]] for e1, e2 in d.crossings],
-        "rotation": {str(v): list(order) for v, order in sorted(d.rotation.items())},
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    crossings = [(idx[e1], idx[e2]) for e1, e2 in d.crossings]
+    rotation = sorted((str(v), order) for v, order in d.rotation.items())
+    entries = [f'"{v}": {_json_block(map(str, order), "    ")}' for v, order in rotation]
+    return (
+        f'{{\n  "crossings": {_json_block(map(_PAIR.__mod__, crossings), "  ")},\n'
+        f'  "edges": {_json_block(map(_PAIR.__mod__, edges), "  ")},\n'
+        f'  "n": {d.base.n},\n'
+        f'  "rotation": {_json_block(entries, "  ", "{}")}\n}}\n'
+    )
 
 
 def _ints(value, what: str, size: int | None = None) -> list[int]:

@@ -105,9 +105,7 @@ def random_one_planar(
         raise ValueError(f"random_one_planar needs n >= 4, got {n}")
     rng = random.Random(seed)
     rotation, faces = random_plane_triangulation(n, rng)
-    base_edges = {
-        norm_edge(u, v) for u, order in rotation.items() for v in order
-    }
+    base_edges = {(u, v) for u, order in rotation.items() for v in order if u < v}
     if crossings is None:
         crossings = max(1, n // 5)
 
@@ -129,8 +127,8 @@ def random_one_planar(
         # face walks around the shared edge {a, c}: f1 has dart (a,c), f2 (c,a)
         f1 = dart_face[(a, c)]
         f2 = dart_face[(c, a)]
-        d = next(x for x in f1 if x not in (a, c))
-        b = next(x for x in f2 if x not in (a, c))
+        d = sum(f1) - a - c  # the third vertex of each triangle
+        b = sum(f2) - a - c
         if b == d:
             continue
         bd = norm_edge(b, d)
@@ -149,26 +147,23 @@ def random_one_planar(
         new_edges.add(bd)
         chosen.append((a, b, c, d))
 
-    rot = {v: list(order) for v, order in rotation.items()}
     crossing_pairs: list[tuple[Edge, Edge]] = []
-    n_base = n
-    for idx, (a, b, c, d) in enumerate(chosen):
-        z = n_base + idx
+    for z, (a, b, c, d) in enumerate(chosen, start=n):
         # orient the quad along its boundary: f2 gives a -> b -> c, f1 gives c -> d -> a
-        rot[a][rot[a].index(c)] = z
-        rot[c][rot[c].index(a)] = z
-        i = rot[b].index(a)
-        rot[b].insert(i + 1, z)
-        i = rot[d].index(c)
-        rot[d].insert(i + 1, z)
-        rot[z] = [d, c, b, a]
-        crossing_pairs.append((norm_edge(a, c), norm_edge(b, d)))
+        rotation[a][rotation[a].index(c)] = z
+        rotation[c][rotation[c].index(a)] = z
+        i = rotation[b].index(a)
+        rotation[b].insert(i + 1, z)
+        i = rotation[d].index(c)
+        rotation[d].insert(i + 1, z)
+        rotation[z] = [d, c, b, a]
+        crossing_pairs.append(((a, c), norm_edge(b, d)))  # a < c in every candidate
 
-    base = Graph.from_edge_list(sorted(base_edges | new_edges), n=n)
+    base = Graph.from_edge_list(base_edges | new_edges, n=n)
     drawing = OnePlanarDrawing(
         base=base,
         crossings=tuple(crossing_pairs),
-        rotation={v: tuple(o) for v, o in rot.items()},
+        rotation={v: tuple(o) for v, o in rotation.items()},
     )
     drawing.validate()
     return drawing

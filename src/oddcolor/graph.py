@@ -34,15 +34,13 @@ class Graph:
         if n is not None and n < 0:
             raise ValueError(f"vertex count must be non-negative, got n={n}")
         edges = set()
-        top = -1
-        for pair in pairs:
-            u, v = pair
+        for u, v in pairs:
             if u == v:
                 raise ValueError(f"loop edge not allowed: ({u}, {v})")
             if u < 0 or v < 0:
                 raise ValueError(f"negative vertex id in edge ({u}, {v})")
-            edges.add(norm_edge(u, v))
-            top = max(top, u, v)
+            edges.add((u, v) if u < v else (v, u))
+        top = max(map(max, edges), default=-1)
         if n is None:
             n = top + 1
         elif top >= n:

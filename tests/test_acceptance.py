@@ -8,7 +8,6 @@ import itertools
 import random
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -20,7 +19,6 @@ from oddcolor.coloring import (
     find_odd_coloring,
     verify_odd_coloring,
 )
-from oddcolor.embedding import build_associated_plane_graph
 from oddcolor.generators import (
     complete_minus_edge,
     cycle,

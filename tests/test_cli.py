@@ -275,6 +275,16 @@ def test_reduce_color_failure_follows_format(tmp_path, capsys):
     assert code == 1 and out == "".join(f"{line}\n" for line in trace)
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_reduce_color_rejects_empty_palette(tmp_path, capsys, k):
+    """A palette below 1 is malformed input, like chi-odd's --kmax 0, not a failed coloring."""
+    drawing = tmp_path / "d.json"
+    main(["gen", "random-one-planar", "60", "--seed", "1", "-o", str(drawing)])
+    capsys.readouterr()
+    code, out, err = run(capsys, "reduce-color", str(drawing), "--k", k)
+    assert (code, out, err) == (2, "", "error: k must be >= 1\n")
+
+
 @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "x", ""])
 def test_rotation_keys_must_be_canonical_vertex_ids(tmp_path, capsys, key):
     """Vertex 1's rotation under a key that int() reads as a vertex id, or not at all."""

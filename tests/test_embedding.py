@@ -1,7 +1,10 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oddcolor.cli import main
 from oddcolor.graph import Graph, norm_edge
 from oddcolor.embedding import (
     OnePlanarDrawing,
@@ -181,10 +184,56 @@ def test_drawing_json_round_trip():
     assert drawing_to_json(d) == drawing_to_json(d2)
 
 
+def json_dumps_reference(d: OnePlanarDrawing) -> str:
+    """The drawing's text as json's own encoder writes it."""
+    edges = sorted(d.base.edges)
+    idx = {e: i for i, e in enumerate(edges)}
+    payload = {
+        "n": d.base.n,
+        "edges": [list(e) for e in edges],
+        "crossings": [[idx[e1], idx[e2]] for e1, e2 in d.crossings],
+        "rotation": {str(v): list(order) for v, order in sorted(d.rotation.items())},
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["zero", "default", "n"]),
+)
+def test_drawing_to_json_equals_json_dumps_on_random_drawings(n, seed, cap):
+    crossings = {"zero": 0, "default": None, "n": n}[cap]
+    d = random_one_planar(n, seed=seed, crossings=crossings)
+    assert drawing_to_json(d) == json_dumps_reference(d)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: OnePlanarDrawing(base=Graph.from_edge_list([], n=0), crossings=(), rotation={}),
+        plane_c5_drawing,
+        lambda: OnePlanarDrawing(
+            base=Graph.from_edge_list([(0, 1)], n=3), crossings=(), rotation={0: (1,), 1: (0,), 2: ()}
+        ),
+        semipoor5_drawing,  # ids up to 19: "10" sorts before "2"
+        crossed_k4_drawing,
+    ],
+    ids=["n0", "no-crossings", "empty-rotation", "ids-past-9", "one-crossing"],
+)
+def test_drawing_to_json_equals_json_dumps_on_hand_built_drawings(make):
+    d = make()
+    assert drawing_to_json(d) == json_dumps_reference(d)
+
+
+def test_gen_prints_the_json_dumps_text(capsys):
+    assert main(["gen", "random-one-planar", "30", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == json_dumps_reference(random_one_planar(30, seed=7))
+
+
 def test_drawing_json_rotation_optional_without_crossings():
     text = drawing_to_json(plane_c5_drawing())
-    import json
-
     payload = json.loads(text)
     del payload["rotation"]
     d = drawing_from_json(json.dumps(payload))
@@ -193,8 +242,6 @@ def test_drawing_json_rotation_optional_without_crossings():
 
 
 def test_drawing_json_rotation_mandatory_with_crossings():
-    import json
-
     payload = json.loads(drawing_to_json(crossed_k4_drawing()))
     del payload["rotation"]
     with pytest.raises(ValueError, match="rotation is mandatory"):

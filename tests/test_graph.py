@@ -18,6 +18,15 @@ def test_from_edge_list_dedups_parallel_edges():
     g = Graph.from_edge_list([(0, 1), (1, 0), (0, 1)])
     assert len(g.edges) == 1
     assert g.degree(0) == 1
+    # the edges' order and orientation do not matter either
+    edges = [(0, 1), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5)]
+    shuffled = edges[:]
+    random.Random(3).shuffle(shuffled)
+    both_ways = [(v, u) for u, v in shuffled] + edges
+    g = Graph.from_edge_list(edges, n=7)
+    assert len(g.edges) == 7 and g.neighbors(4) == (0, 2, 3, 5)
+    for pairs in (set(edges), shuffled, both_ways):
+        assert Graph.from_edge_list(pairs, n=7) == g
 
 
 def test_loops_rejected():

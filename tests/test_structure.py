@@ -2,7 +2,7 @@ import pytest
 
 from oddcolor.graph import Graph
 from oddcolor.embedding import build_associated_plane_graph
-from oddcolor.generators import complete, cycle, subdivided_complete
+from oddcolor.generators import complete, cycle
 from oddcolor.structure import (
     FaceClass,
     classify_faces,
