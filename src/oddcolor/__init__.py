@@ -8,7 +8,6 @@ and a discharging engine with an exact-rational charge audit.
 from .graph import Graph, parse_edge_list, format_edge_list
 from .embedding import (
     AssociatedPlaneGraph,
-    Face,
     OnePlanarDrawing,
     build_associated_plane_graph,
     drawing_from_json,
@@ -47,7 +46,6 @@ __all__ = [
     "AssociatedPlaneGraph",
     "ChargeLedger",
     "Coloring",
-    "Face",
     "FaceClass",
     "FaceTags",
     "Graph",

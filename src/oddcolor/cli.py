@@ -123,7 +123,7 @@ def cmd_gstar(args) -> int:
 def cmd_classify(args) -> int:
     d = _load(drawing_from_json, args.drawing)
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     ft = classify_faces(apg, vt)
     _emit_json({"vertices": vt.to_jsonable(), **ft.to_jsonable()})
     return 0
@@ -132,7 +132,7 @@ def cmd_classify(args) -> int:
 def cmd_lemmas(args) -> int:
     d = _load(drawing_from_json, args.drawing)
     apg = build_associated_plane_graph(d)
-    rep = detect_lemma_violations(d, apg, colors=args.colors)
+    rep = detect_lemma_violations(apg, colors=args.colors)
     _emit_json(rep.to_jsonable())
     return 0
 
@@ -140,9 +140,9 @@ def cmd_lemmas(args) -> int:
 def cmd_discharge(args) -> int:
     d = _load(drawing_from_json, args.drawing)
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     ft = classify_faces(apg, vt)
-    rep = detect_lemma_violations(d, apg)
+    rep = detect_lemma_violations(apg)
     ar = audit(apg, vt, ft, rep)
     _emit_json(ar.to_jsonable(include_transfers=args.transfers))
     return 0

@@ -155,8 +155,6 @@ def exact_odd_chromatic_number(
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if g.n == 0:
-        return 1 if kmax >= 1 else None, Coloring.of(g, {}, k=1)
     for k in range(1, kmax + 1):
         c = find_odd_coloring(g, k)
         if c is not None:

@@ -56,7 +56,7 @@ def initial_charges(apg: AssociatedPlaneGraph) -> ChargeLedger:
             continue  # isolated vertices sit outside the embedding
         mu[("v", v)] = Fraction(apg.gstar.degree(v) - 4)
     for i, f in enumerate(apg.faces):
-        mu[("f", i)] = Fraction(f.degree - 4)
+        mu[("f", i)] = Fraction(len(f) - 4)
     return ChargeLedger(mu=mu, mu_star=dict(mu))
 
 
@@ -77,7 +77,7 @@ def _vertex_payment(
         return None
     f = apg.faces[face_index]
     cls = ft.face_class[face_index]
-    df = f.degree
+    df = len(f)
     if dv >= 8:
         if cls.is_poor and df >= 3:
             return Fraction(1), "R1"
@@ -88,12 +88,12 @@ def _vertex_payment(
     if cls is FaceClass.SEMI_POOR and df == 4:
         return Fraction(1, 2), "R2"
     if cls is FaceClass.SEMI_POOR and df == 5:
-        sevens = sum(1 for x in f.walk if not apg.is_star(x) and apg.gstar.degree(x) == 7)
+        sevens = sum(1 for x in f if not apg.is_star(x) and apg.gstar.degree(x) == 7)
         if sevens == 2:
             return Fraction(1, 2), "R2"
         return None
     if df == 3:
-        if any(apg.is_star(x) for x in f.walk):
+        if any(apg.is_star(x) for x in f):
             return Fraction(1, 2), "R2"
         if sevens_of_7710(f, apg) and v not in vt.special_7:
             return Fraction(1, 2), "R2"
@@ -111,7 +111,7 @@ def apply_rules(apg: AssociatedPlaneGraph, vt: VertexTags, ft: FaceTags) -> Char
     income: dict[int, Fraction] = {i: Fraction(0) for i in range(len(apg.faces))}
 
     for i, f in enumerate(apg.faces):
-        for v in f.walk:
+        for v in f:
             pay = _vertex_payment(apg, vt, ft, v, i)
             if pay is not None:
                 amount, rule = pay
@@ -119,17 +119,17 @@ def apply_rules(apg: AssociatedPlaneGraph, vt: VertexTags, ft: FaceTags) -> Char
                 income[i] += amount
 
     for i, f in enumerate(apg.faces):
-        df = f.degree
+        df = len(f)
         n2 = ft.n_2[i]
         n2s = ft.n_2_special[i]
         if df >= 5 and n2 > 0:
             share = Fraction(df - 4, n2)
-            for v in f.walk:
+            for v in f:
                 if not apg.is_star(v) and apg.gstar.degree(v) == 2:
                     transfers.append(Transfer(("f", i), ("v", v), share, "R3"))
         if df >= 4 and n2s > 0 and income[i] != 0:
             share = income[i] / n2s
-            for v in f.walk:
+            for v in f:
                 if v in vt.special_2:
                     transfers.append(Transfer(("f", i), ("v", v), share, "R4"))
 

@@ -3,8 +3,13 @@
 A drawing is input data, never computed: it carries the base graph, the
 set of crossing edge pairs, and a rotation system for the *planarized*
 drawing.  Crossing i is planarized as vertex ``n + i`` (a 4*-vertex).
-Face tracing follows the usual dart convention: the dart after (u, v) is
-(v, w) where w is the successor of u in the rotation at v.
+
+The associated plane graph G* is built from one drawing and keeps it, so
+the analysis layers take G* alone and read the base graph, crossings and
+rotation through ``apg.drawing``.  A face is the tuple of vertices its
+boundary walk visits.  Face tracing follows the usual dart convention:
+the dart after (u, v) is (v, w) where w is the successor of u in the
+rotation at v.
 """
 
 from __future__ import annotations
@@ -33,9 +38,6 @@ class OnePlanarDrawing:
     def star_of_edge(self) -> dict[Edge, int]:
         """The crossing vertex on each crossed base edge."""
         return {e: self.star_id(i) for i, pair in enumerate(self.crossings) for e in pair}
-
-    def crossed_edges(self) -> set[Edge]:
-        return set(self.star_of_edge())
 
     def planarization(self) -> dict[Edge, Edge]:
         """Each edge of the planarization mapped to its base edge.
@@ -135,38 +137,34 @@ def _rebuild_subdrawing(d: OnePlanarDrawing, keep: set[Edge]) -> OnePlanarDrawin
     )
 
 
-@dataclass(frozen=True)
-class Face:
-    """A boundary walk of the planarization, as the cycle of vertices it visits.
+Face = tuple[int, ...]
+"""A boundary walk of the planarization, as the cycle of vertices it visits.
 
-    The walk leaves ``walk[i]`` along the edge to ``walk[i + 1]`` (cyclically).
-    Non-simple faces repeat vertices; all counts downstream are per incidence.
-    """
-
-    walk: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.walk)
+The walk leaves ``f[i]`` along the edge to ``f[i + 1]`` (cyclically).
+Non-simple faces repeat vertices; all counts downstream are per incidence.
+"""
 
 
 @dataclass(frozen=True)
 class AssociatedPlaneGraph:
+    drawing: OnePlanarDrawing
     gstar: Graph
-    star_vertices: frozenset[int]
     origin: dict[Edge, Edge]  # planarized edge -> base edge
     faces: tuple[Face, ...]
-    rotation: dict[int, tuple[int, ...]]
+
+    @property
+    def star_vertices(self) -> frozenset[int]:
+        return frozenset(range(self.drawing.base.n, self.gstar.n))
 
     def is_star(self, v: int) -> bool:
-        return v in self.star_vertices
+        return self.drawing.base.n <= v < self.gstar.n
 
     @cached_property
     def _face_incidence(self) -> dict[int, tuple[int, ...]]:
         """Each vertex's faces, ascending, once per pass of their walks through it."""
         out: dict[int, list[int]] = {}
         for i, f in enumerate(self.faces):
-            for x in f.walk:
+            for x in f:
                 out.setdefault(x, []).append(i)
         return {x: tuple(fs) for x, fs in out.items()}
 
@@ -184,7 +182,7 @@ class AssociatedPlaneGraph:
         label = {v: i for i, comp in enumerate(comps) for v in comp}
         faces: list[list[int]] = [[] for _ in comps]
         for i, f in enumerate(self.faces):
-            faces[label[f.walk[0]]].append(i)
+            faces[label[f[0]]].append(i)
         return list(zip(comps, faces))
 
 
@@ -214,7 +212,7 @@ def trace_faces(rotation: Mapping[int, Sequence[int]]) -> tuple[Face, ...]:
             cur = (v, w)
         if cur != start:
             raise ValueError(f"face walk from dart {start} did not close at {cur}")
-        faces.append(Face(walk=tuple(walk)))
+        faces.append(tuple(walk))
     return tuple(faces)
 
 
@@ -227,18 +225,9 @@ def build_associated_plane_graph(d: OnePlanarDrawing) -> AssociatedPlaneGraph:
     """
     d.validate()
     origin = d.planarization()
-    nverts = d.base.n + len(d.crossings)
-    gstar = Graph.from_edge_list(sorted(origin), n=nverts)
-    rotation = {v: tuple(order) for v, order in d.rotation.items()}
-    for v in range(nverts):
-        rotation.setdefault(v, ())
-    faces = trace_faces(rotation)
+    gstar = Graph.from_edge_list(origin, n=d.base.n + len(d.crossings))
     apg = AssociatedPlaneGraph(
-        gstar=gstar,
-        star_vertices=frozenset(range(d.base.n, nverts)),
-        origin=origin,
-        faces=faces,
-        rotation=rotation,
+        drawing=d, gstar=gstar, origin=origin, faces=trace_faces(d.rotation)
     )
     _check_euler(apg)
     return apg

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .graph import Edge, Graph, norm_edge
-from .embedding import AssociatedPlaneGraph, Face, OnePlanarDrawing
+from .embedding import AssociatedPlaneGraph, Face
 
 PALETTE = 13
 """The palette of the theorem: every 1-planar graph is odd 13-colorable."""
@@ -64,10 +64,10 @@ def _sevens_of_77x(
 
     Crossing vertices have degree 4, so these degrees exclude them.
     """
-    degs = [apg.gstar.degree(x) for x in f.walk]
-    if f.degree != 3 or sorted(degs)[:2] != [7, 7] or not third_ok(max(degs)):
+    degs = [apg.gstar.degree(x) for x in f]
+    if len(f) != 3 or sorted(degs)[:2] != [7, 7] or not third_ok(max(degs)):
         return []
-    return [x for x, dx in zip(f.walk, degs) if dx == 7]
+    return [x for x, dx in zip(f, degs) if dx == 7]
 
 
 def sevens_of_778(f: Face, apg: AssociatedPlaneGraph) -> list[int]:
@@ -143,18 +143,18 @@ class FaceTags:
         }
 
 
-def classify_vertices(d: OnePlanarDrawing, apg: AssociatedPlaneGraph) -> VertexTags:
-    g = d.base
+def classify_vertices(apg: AssociatedPlaneGraph) -> VertexTags:
+    g = apg.drawing.base
     easy = easy_vertices(g)
     stars = set(apg.star_vertices)
-    n_e = {v: sum(1 for u in g.adj[v] if u in easy) for v in range(g.n)}
+    n_e = {v: easy_neighbors(g, v, easy) for v in range(g.n)}
     m_star = {
         v: sum(1 for u in apg.gstar.adj[v] if u in stars) for v in range(g.n)
     }
     special_2 = {
         v
         for v in range(g.n)
-        if g.degree(v) == 2 and any(apg.faces[i].degree == 4 for i in apg.faces_at(v))
+        if g.degree(v) == 2 and any(len(apg.faces[i]) == 4 for i in apg.faces_at(v))
     }
     special_7 = {
         v for v in range(g.n) if g.degree(v) == 7 and _is_special_7(v, apg)
@@ -177,10 +177,10 @@ def _is_special_7(v: int, apg: AssociatedPlaneGraph) -> bool:
     d(v1) >= 10, d(v3), d(v5) >= 7, and d(v7) = 7.  Both orientations and
     all cyclic shifts are accepted.
     """
-    rot = apg.rotation.get(v, ())
+    rot = apg.drawing.rotation.get(v, ())
     if len(rot) != 7:
         return False
-    if any(apg.faces[i].degree != 3 for i in apg.faces_at(v)):
+    if any(len(apg.faces[i]) != 3 for i in apg.faces_at(v)):
         return False
     deg = apg.gstar.degree
     star = apg.is_star
@@ -214,11 +214,10 @@ def _poor4_witness(
     f: Face, apg: AssociatedPlaneGraph, easy: set[int]
 ) -> dict | None:
     """Check the poor 4-face pattern (u, 4*, 2-vertex, 4*)."""
-    if f.degree != 4:
+    if len(f) != 4:
         return None
-    vs = f.walk
     for i in range(4):
-        u, z1, v, z2 = vs[i], vs[(i + 1) % 4], vs[(i + 2) % 4], vs[(i + 3) % 4]
+        u, z1, v, z2 = f[i], f[(i + 1) % 4], f[(i + 2) % 4], f[(i + 3) % 4]
         if apg.is_star(u) or apg.is_star(v):
             continue
         if not (apg.is_star(z1) and apg.is_star(z2)):
@@ -232,8 +231,6 @@ def _poor4_witness(
         e_v2, _ = _crossing_partner_info(apg, z2, v)
         if e_u1 == e_v1 or e_u2 == e_v2:
             continue  # the star's two crossed edges must come from u and v
-        if v not in e_v1 or v not in e_v2 or u not in e_u1 or u not in e_u2:
-            continue
         if x in easy and y in easy:
             return {"u": u, "v": v, "x": x, "y": y}
     return None
@@ -243,12 +240,11 @@ def _poor6_witness(
     f: Face, apg: AssociatedPlaneGraph, easy: set[int], special_2: set[int]
 ) -> dict | None:
     """Check the poor 6-face pattern (u, 4*, 2, 4*, 2, 4*)."""
-    if f.degree != 6:
+    if len(f) != 6:
         return None
-    vs = f.walk
     for i in range(6):
-        u = vs[i]
-        z1, v, z2, w, z3 = (vs[(i + j) % 6] for j in range(1, 6))
+        u = f[i]
+        z1, v, z2, w, z3 = (f[(i + j) % 6] for j in range(1, 6))
         if apg.is_star(u) or apg.is_star(v) or apg.is_star(w):
             continue
         if not (apg.is_star(z1) and apg.is_star(z2) and apg.is_star(z3)):
@@ -262,8 +258,6 @@ def _poor6_witness(
         e_v1, _ = _crossing_partner_info(apg, z1, v)
         e_u2, y = _crossing_partner_info(apg, z3, u)
         e_w2, _ = _crossing_partner_info(apg, z3, w)
-        if u not in e_u1 or u not in e_u2 or v not in e_v1 or w not in e_w2:
-            continue
         if e_u1 == e_v1 or e_u2 == e_w2:
             continue
         if x in easy and y in easy:
@@ -277,12 +271,12 @@ def classify_faces(apg: AssociatedPlaneGraph, vt: VertexTags) -> FaceTags:
     n2_list: list[int] = []
     n2s_list: list[int] = []
     for f in apg.faces:
-        n2 = sum(1 for v in f.walk if not apg.is_star(v) and apg.gstar.degree(v) == 2)
-        n2s = sum(1 for v in f.walk if v in vt.special_2)
+        n2 = sum(1 for v in f if not apg.is_star(v) and apg.gstar.degree(v) == 2)
+        n2s = sum(1 for v in f if v in vt.special_2)
         cls = FaceClass.ORDINARY
         wit: dict = {}
-        deg = f.degree
-        originals = [v for v in f.walk if not apg.is_star(v)]
+        deg = len(f)
+        originals = [v for v in f if not apg.is_star(v)]
         if deg == 3:
             sevens = sevens_of_7710(f, apg)
             if sevens and all(v in vt.special_7 for v in sevens):
@@ -311,7 +305,7 @@ def classify_faces(apg: AssociatedPlaneGraph, vt: VertexTags) -> FaceTags:
             ]
             rest_ok = all(
                 apg.is_star(v) or apg.gstar.degree(v) == 2 or apg.gstar.degree(v) >= 8
-                for v in f.walk
+                for v in f
             )
             if len(eights) == 1 and rest_ok and len(originals) - 1 == n2:
                 cls = FaceClass.SEMI_POOR
@@ -354,14 +348,14 @@ class LemmaReport:
                     verts.update(item["edge"])
                 if "face" in item:
                     faces.add(item["face"])
-                    verts.update(apg.faces[item["face"]].walk)
+                    verts.update(apg.faces[item["face"]])
                 if kind == "v" and (
-                    ident in verts or any(ident in set(apg.faces[fi].walk) for fi in faces)
+                    ident in verts or any(ident in set(apg.faces[fi]) for fi in faces)
                 ):
                     hits.append(lemma)
                     break
                 if kind == "f":
-                    face_verts = set(apg.faces[ident].walk)
+                    face_verts = set(apg.faces[ident])
                     if ident in faces or (verts & face_verts):
                         hits.append(lemma)
                         break
@@ -371,9 +365,7 @@ class LemmaReport:
         return {"violations": self.violations, "satisfied_all": self.satisfied_all}
 
 
-def detect_lemma_violations(
-    d: OnePlanarDrawing, apg: AssociatedPlaneGraph, colors: int = PALETTE
-) -> LemmaReport:
+def detect_lemma_violations(apg: AssociatedPlaneGraph, colors: int = PALETTE) -> LemmaReport:
     """Witnesses against the conclusions of the eight reducibility lemmas.
 
     Thresholds parameterize in the palette size where the general versions
@@ -383,9 +375,8 @@ def detect_lemma_violations(
     """
     if colors < 7:
         raise ValueError("colors must be >= 7")
-    g = d.base
+    g = apg.drawing.base
     easy = easy_vertices(g, colors)
-    crossed = d.crossed_edges()
     v: dict[str, list] = {f"L{i}": [] for i in range(1, 9)}
 
     for e in sorted(g.bridges()):
@@ -399,7 +390,7 @@ def detect_lemma_violations(
         if dx % 2 == 1 and is_low(dx, colors):
             v["L2"].append({"vertex": x, "degree": dx})
 
-    for e in sorted(g.edges - crossed):
+    for e in sorted(g.edges.difference(apg.drawing.star_of_edge())):
         a, b = e
         if is_low(g.degree(a), colors) or is_low(g.degree(b), colors):
             v["L3"].append({"edge": list(e)})
@@ -417,25 +408,25 @@ def detect_lemma_violations(
             )
 
     for i, f in enumerate(apg.faces):
-        if f.degree <= 2:
-            v["L5"].append({"face": i, "reason": f"{f.degree}-face"})
-        elif f.degree == 3:
-            stars = sum(1 for x in f.walk if apg.is_star(x))
+        if len(f) <= 2:
+            v["L5"].append({"face": i, "reason": f"{len(f)}-face"})
+        elif len(f) == 3:
+            stars = sum(1 for x in f if apg.is_star(x))
             big = sum(
                 1
-                for x in f.walk
+                for x in f
                 if not apg.is_star(x) and not is_low(apg.gstar.degree(x), colors)
             )
             if not (stars == 0 and big == 3) and not (stars == 1 and big == 2):
                 v["L5"].append(
-                    {"face": i, "face_vertices": sorted(set(f.walk)),
+                    {"face": i, "face_vertices": sorted(set(f)),
                      "reason": "off-pattern 3-face"}
                 )
 
     for x in range(g.n):
         if g.degree(x) != 2:
             continue
-        incidences = sorted(apg.faces[i].degree for i in apg.faces_at(x))
+        incidences = sorted(len(apg.faces[i]) for i in apg.faces_at(x))
         # a 2-vertex lies on two face incidences; need one 5+ and one 4+
         if len(incidences) < 2 or not (
             incidences[-1] >= 5 and incidences[-2] >= 4
@@ -443,15 +434,15 @@ def detect_lemma_violations(
             v["L6"].append({"vertex": x, "face_degrees": incidences})
 
     for i, f in enumerate(apg.faces):
-        if f.degree != 4:
+        if len(f) != 4:
             continue
-        twos = sum(1 for x in f.walk if not apg.is_star(x) and apg.gstar.degree(x) == 2)
-        stars = sum(1 for x in f.walk if apg.is_star(x))
+        twos = sum(1 for x in f if not apg.is_star(x) and apg.gstar.degree(x) == 2)
+        stars = sum(1 for x in f if apg.is_star(x))
         if twos == 2 and stars == 2:
             v["L7"].append({"face": i})
 
     for i, f in enumerate(apg.faces):
         if sevens_of_778(f, apg):
-            v["L8"].append({"face": i, "face_vertices": sorted(set(f.walk))})
+            v["L8"].append({"face": i, "face_vertices": sorted(set(f))})
 
     return LemmaReport(violations=v)

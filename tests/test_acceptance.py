@@ -9,8 +9,6 @@ import random
 import sys
 import time
 
-import pytest
-
 from oddcolor.graph import Graph
 from oddcolor.coloring import (
     Coloring,
@@ -119,7 +117,7 @@ def test_criterion_3_oracle_equivalence():
 
 def _tagged(corpus, corpus_apgs):
     for d, apg in zip(corpus, corpus_apgs):
-        vt = classify_vertices(d, apg)
+        vt = classify_vertices(apg)
         ft = classify_faces(apg, vt)
         yield d, apg, vt, ft
 
@@ -139,7 +137,7 @@ def test_criterion_4_charge_bookkeeping(corpus, corpus_apgs):
 def test_criterion_5_contrapositive(corpus, corpus_apgs):
     counterexamples = 0
     for d, apg, vt, ft in _tagged(corpus, corpus_apgs):
-        lemmas = detect_lemma_violations(d, apg)
+        lemmas = detect_lemma_violations(apg)
         rep = audit(apg, vt, ft, lemmas)
         if lemmas.satisfied_all and rep.all_nonnegative:
             counterexamples += 1
@@ -159,21 +157,21 @@ def test_criterion_6_face_charges(corpus, corpus_apgs):
     checked_4plus = 0
     checked_3 = 0
     for d, apg, vt, ft in _tagged(corpus, corpus_apgs):
-        lemmas = detect_lemma_violations(d, apg)
+        lemmas = detect_lemma_violations(apg)
         led = apply_rules(apg, vt, ft)
         l5_faces = {item["face"] for item in lemmas.violations["L5"]}
         l8_faces = {item["face"] for item in lemmas.violations["L8"]}
         l4_vertices = {item["vertex"] for item in lemmas.violations["L4"]}
         for i, f in enumerate(apg.faces):
-            if f.degree >= 4:
+            if len(f) >= 4:
                 if ft.n_2[i] > 0:
                     checked_4plus += 1
                     if led.mu_star[("f", i)] != 0:
                         bad_faces += 1
-            elif f.degree == 3 and i not in l5_faces:
+            elif len(f) == 3 and i not in l5_faces:
                 if i in l8_faces:
                     continue
-                if any(x in l4_vertices for x in f.walk):
+                if any(x in l4_vertices for x in f):
                     continue
                 checked_3 += 1
                 if led.mu_star[("f", i)] < 0:

@@ -85,6 +85,7 @@ def test_exact_small_values():
     assert exact_odd_chromatic_number(cycle(5), 6)[0] == 5
     assert exact_odd_chromatic_number(cycle(4), 6)[0] == 4
     assert exact_odd_chromatic_number(complete_minus_edge(4), 6)[0] == 3
+    assert exact_odd_chromatic_number(Graph.from_edge_list([]), 6) == (1, Coloring(k=1, assign={}))
 
 
 def test_exact_returns_verified_witness():

@@ -9,7 +9,7 @@ from conftest import plane_c5_drawing, poor4_drawing, semipoor5_drawing
 
 def _pipeline(d):
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     ft = classify_faces(apg, vt)
     return apg, vt, ft
 
@@ -46,7 +46,7 @@ def test_pentagon_audit():
 def test_pentagon_negatives_are_explained():
     d = plane_c5_drawing()
     apg, vt, ft = _pipeline(d)
-    rep = audit(apg, vt, ft, detect_lemma_violations(d, apg))
+    rep = audit(apg, vt, ft, detect_lemma_violations(apg))
     for item in rep.negatives:
         assert item["explained_by"]
 
@@ -55,7 +55,7 @@ def test_semi_poor_5_face_two_sevens():
     """Both 7-vertices pay 1/2; the 2-vertex collects 1 + 1 = 2."""
     apg, vt, ft = _pipeline(semipoor5_drawing())
     led = apply_rules(apg, vt, ft)
-    five = next(i for i, f in enumerate(apg.faces) if f.degree == 5)
+    five = next(i for i, f in enumerate(apg.faces) if len(f) == 5)
     r2 = [t for t in led.transfers if t.rule == "R2" and t.target == ("f", five)]
     assert sorted(t.source for t in r2) == [("v", 0), ("v", 1)]
     assert all(t.amount == Fraction(1, 2) for t in r2)
@@ -72,7 +72,7 @@ def test_semi_poor_5_face_one_seven():
     """With an 8-vertex instead, income halves: the 2-vertex gets 3/2."""
     apg, vt, ft = _pipeline(semipoor5_drawing(extra_leaf=True))
     led = apply_rules(apg, vt, ft)
-    five = next(i for i, f in enumerate(apg.faces) if f.degree == 5)
+    five = next(i for i, f in enumerate(apg.faces) if len(f) == 5)
     pays = [t for t in led.transfers if t.target == ("f", five)]
     assert [(t.rule, t.amount) for t in pays] == [("R1", Fraction(1, 2))]
     received = sum(

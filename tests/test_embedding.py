@@ -39,9 +39,9 @@ def crossed_k4_drawing() -> OnePlanarDrawing:
 
 def test_c5_traces_two_pentagon_faces():
     apg = build_associated_plane_graph(plane_c5_drawing())
-    assert sorted(f.degree for f in apg.faces) == [5, 5]
+    assert sorted(len(f) for f in apg.faces) == [5, 5]
     for f in apg.faces:
-        assert sorted(f.walk) == [0, 1, 2, 3, 4]
+        assert sorted(f) == [0, 1, 2, 3, 4]
 
 
 def test_theta_graph_faces_hand_enumerated():
@@ -50,8 +50,8 @@ def test_theta_graph_faces_hand_enumerated():
     rot = {0: (2, 3, 4), 1: (4, 3, 2), 2: (0, 1), 3: (0, 1), 4: (0, 1)}
     d = OnePlanarDrawing(base=g, crossings=(), rotation=rot)
     apg = build_associated_plane_graph(d)
-    assert sorted(f.degree for f in apg.faces) == [4, 4, 4]
-    walks = {frozenset(f.walk) for f in apg.faces}
+    assert sorted(len(f) for f in apg.faces) == [4, 4, 4]
+    walks = {frozenset(f) for f in apg.faces}
     assert walks == {
         frozenset({0, 1, 2, 3}),
         frozenset({0, 1, 3, 4}),
@@ -64,7 +64,7 @@ def test_crossed_k4_planarization():
     assert apg.gstar.n == 5
     assert apg.star_vertices == frozenset({4})
     assert apg.gstar.degree(4) == 4
-    assert sorted(f.degree for f in apg.faces) == [3, 3, 3, 3, 4]
+    assert sorted(len(f) for f in apg.faces) == [3, 3, 3, 3, 4]
     # degree preservation on originals
     for v in range(4):
         assert apg.gstar.degree(v) == 3
@@ -83,7 +83,7 @@ def test_origin_map_round_trip():
         else:
             assert e == base_edge
     # every crossed base edge is covered by exactly two half-edges
-    for e in d.crossed_edges():
+    for e in d.star_of_edge():
         halves = [pe for pe, be in apg.origin.items() if be == e]
         assert len(halves) == 2
 
@@ -100,7 +100,7 @@ def test_euler_formula_per_component(corpus_apgs):
         for comp in apg.gstar.components():
             nv = len(comp)
             ne = sum(1 for u, v in apg.gstar.edges if u in comp)
-            nf = sum(1 for f in apg.faces if f.walk[0] in comp)
+            nf = sum(1 for f in apg.faces if f[0] in comp)
             assert nv - ne + nf == 2
 
 
@@ -154,7 +154,7 @@ def test_without_edge_uncrossed():
     d2.validate()
     assert norm_edge(0, 1) not in d2.base.edges
     apg = build_associated_plane_graph(d2)
-    assert sorted(f.degree for f in apg.faces) == [8]
+    assert sorted(len(f) for f in apg.faces) == [8]
 
 
 def test_one_restriction_equals_stepwise_removals():
@@ -238,7 +238,7 @@ def test_drawing_json_rotation_optional_without_crossings():
     del payload["rotation"]
     d = drawing_from_json(json.dumps(payload))
     apg = build_associated_plane_graph(d)
-    assert sorted(f.degree for f in apg.faces) == [5, 5]
+    assert sorted(len(f) for f in apg.faces) == [5, 5]
 
 
 def test_drawing_json_rotation_mandatory_with_crossings():
@@ -265,7 +265,7 @@ def test_gstar_to_dot_mentions_stars():
 
 def test_special7_drawing_shape():
     apg = build_associated_plane_graph(special7_drawing())
-    assert sorted(f.degree for f in apg.faces) == [3] * 7 + [51]
+    assert sorted(len(f) for f in apg.faces) == [3] * 7 + [51]
     assert len(apg.star_vertices) == 3
     assert len(apg.faces_at(0)) == 7
 
@@ -278,10 +278,9 @@ def test_special7_drawing_shape():
 )
 def test_trace_faces_walks_every_dart_once_by_rotation_successors(make):
     """A walk's dart (u, v) is followed by (v, w), w the successor of u at v."""
-    rotation = build_associated_plane_graph(make()).rotation
+    rotation = build_associated_plane_graph(make()).drawing.rotation
     walked = []
-    for f in trace_faces(rotation):
-        walk = f.walk
+    for walk in trace_faces(rotation):
         for i, u in enumerate(walk):
             v, w = walk[(i + 1) % len(walk)], walk[(i + 2) % len(walk)]
             walked.append((u, v))
@@ -292,7 +291,7 @@ def test_trace_faces_walks_every_dart_once_by_rotation_successors(make):
 
 def _faces_at_by_scan(apg, v: int) -> tuple[int, ...]:
     """Face indices at v by scanning every walk, once per incidence."""
-    return tuple(i for i, f in enumerate(apg.faces) for x in f.walk if x == v)
+    return tuple(i for i, f in enumerate(apg.faces) for x in f if x == v)
 
 
 @pytest.mark.parametrize(
@@ -302,10 +301,13 @@ def _faces_at_by_scan(apg, v: int) -> tuple[int, ...]:
 )
 def test_face_incidence_matches_a_scan_of_the_walks(make):
     """special7's outer walk passes some vertices more than once."""
-    apg = build_associated_plane_graph(make())
+    d = make()
+    apg = build_associated_plane_graph(d)
+    assert apg.drawing is d
     for v in range(-1, apg.gstar.n + 2):
         assert apg.faces_at(v) == _faces_at_by_scan(apg, v)
-    assert sum(len(apg.faces_at(v)) for v in range(apg.gstar.n)) == sum(f.degree for f in apg.faces)
+        assert apg.is_star(v) == (v in apg.star_vertices) == (d.base.n <= v < apg.gstar.n)
+    assert sum(len(apg.faces_at(v)) for v in range(apg.gstar.n)) == sum(len(f) for f in apg.faces)
 
 
 def test_faces_at_is_read_only():

@@ -55,7 +55,7 @@ def test_easy_parameterized_in_colors():
 def test_special_2_on_poor4_fixture():
     d = poor4_drawing()
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     assert vt.special_2 == {1}
     assert vt.special_7 == set()
     assert vt.stars == {6, 7}
@@ -66,7 +66,7 @@ def test_special_2_on_poor4_fixture():
 def test_special_7_positive():
     d = special7_drawing()
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     assert vt.special_7 == {0}
 
 
@@ -74,7 +74,7 @@ def test_special_7_requires_high_degree_first_neighbor():
     # degrade the degree-10 ring vertex to 9 by dropping a leaf edge
     d = special7_drawing().without_edge(1, 8)
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     assert vt.special_7 == set()
 
 
@@ -82,7 +82,7 @@ def test_special_7_requires_all_triangles():
     # removing a ring chord destroys two of the seven triangles
     d = special7_drawing().without_edge(1, 4)
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     assert vt.special_7 == set()
 
 
@@ -93,7 +93,7 @@ def test_special_7_requires_all_triangles():
 def test_poor4_classification():
     d = poor4_drawing()
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     ft = classify_faces(apg, vt)
     poor = [i for i, c in enumerate(ft.face_class) if c is FaceClass.POOR4]
     assert len(poor) == 1
@@ -111,7 +111,7 @@ def test_poor4_needs_easy_far_ends():
 
     d = poor4_drawing()
     apg = build_associated_plane_graph(d)
-    face = next(i for i, f in enumerate(apg.faces) if f.degree == 4)
+    face = next(i for i, f in enumerate(apg.faces) if len(f) == 4)
     assert _poor4_witness(apg.faces[face], apg, easy=set()) is None
     assert _poor4_witness(apg.faces[face], apg, easy={2, 3}) is not None
 
@@ -119,19 +119,19 @@ def test_poor4_needs_easy_far_ends():
 def test_semi_poor_5_face():
     d = semipoor5_drawing()
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     ft = classify_faces(apg, vt)
-    five = next(i for i, f in enumerate(apg.faces) if f.degree == 5)
+    five = next(i for i, f in enumerate(apg.faces) if len(f) == 5)
     assert ft.face_class[five] is FaceClass.SEMI_POOR
     assert ft.n_2[five] == 1
-    four = next(i for i, f in enumerate(apg.faces) if f.degree == 4)
+    four = next(i for i, f in enumerate(apg.faces) if len(f) == 4)
     assert ft.face_class[four] is FaceClass.POOR4
 
 
 def test_c5_faces_are_semi_poor():
     d = plane_c5_drawing()
     apg = build_associated_plane_graph(d)
-    vt = classify_vertices(d, apg)
+    vt = classify_vertices(apg)
     ft = classify_faces(apg, vt)
     assert all(c is FaceClass.SEMI_POOR for c in ft.face_class)
     assert ft.n_2 == [5, 5]
@@ -139,7 +139,7 @@ def test_c5_faces_are_semi_poor():
 
 def test_poor_faces_never_semi_poor(corpus, corpus_apgs):
     for d, apg in zip(corpus, corpus_apgs):
-        vt = classify_vertices(d, apg)
+        vt = classify_vertices(apg)
         ft = classify_faces(apg, vt)
         for cls, n2s in zip(ft.face_class, ft.n_2_special):
             if cls is FaceClass.SEMI_POOR:
@@ -155,7 +155,7 @@ def test_poor_faces_never_semi_poor(corpus, corpus_apgs):
 def test_c5_violates_low_degree_lemmas():
     d = plane_c5_drawing()
     apg = build_associated_plane_graph(d)
-    rep = detect_lemma_violations(d, apg)
+    rep = detect_lemma_violations(apg)
     assert not rep.satisfied_all
     # every edge is uncrossed with low-degree endpoints
     assert len(rep.violations["L3"]) == 5
@@ -171,7 +171,7 @@ def test_bridge_and_degree_one_flagged():
 
     d = OnePlanarDrawing(base=g, crossings=(), rotation={0: (1,), 1: (0,)})
     apg = build_associated_plane_graph(d)
-    rep = detect_lemma_violations(d, apg)
+    rep = detect_lemma_violations(apg)
     kinds = {item.get("reason") for item in rep.violations["L1"]}
     assert "bridge" in kinds and "degree below 2" in kinds
 
@@ -182,7 +182,7 @@ def test_l8_flags_778_triangle():
     d = special7_drawing().without_edge(1, 8).without_edge(1, 9)
     apg = build_associated_plane_graph(d)
     assert d.base.degree(1) == 8
-    rep = detect_lemma_violations(d, apg)
+    rep = detect_lemma_violations(apg)
     flagged = [item for item in rep.violations["L8"]]
     assert any(set(item["face_vertices"]) == {0, 1, 4} for item in flagged)
 
@@ -195,7 +195,7 @@ def test_l2_flags_low_odd_degree():
         base=g, crossings=(), rotation={0: (1, 2, 3), 1: (0,), 2: (0,), 3: (0,)}
     )
     apg = build_associated_plane_graph(d)
-    rep = detect_lemma_violations(d, apg)
+    rep = detect_lemma_violations(apg)
     assert {item["vertex"] for item in rep.violations["L2"]} >= {0}
 
 
@@ -203,22 +203,22 @@ def test_detectors_reject_small_palettes():
     d = plane_c5_drawing()
     apg = build_associated_plane_graph(d)
     with pytest.raises(ValueError):
-        detect_lemma_violations(d, apg, colors=5)
+        detect_lemma_violations(apg, colors=5)
 
 
 def test_lemmas_touching_explains_elements():
     d = plane_c5_drawing()
     apg = build_associated_plane_graph(d)
-    rep = detect_lemma_violations(d, apg)
+    rep = detect_lemma_violations(apg)
     hits = rep.lemmas_touching(("v", 0), apg)
     assert "L3" in hits and "L4" in hits
 
 
 def test_special_7_tags_are_consistent(corpus, corpus_apgs):
     for d, apg in zip(corpus, corpus_apgs):
-        vt = classify_vertices(d, apg)
+        vt = classify_vertices(apg)
         for v in vt.special_7:
             assert d.base.degree(v) == 7
-            assert all(apg.faces[i].degree == 3 for i in apg.faces_at(v))
+            assert all(len(apg.faces[i]) == 3 for i in apg.faces_at(v))
         for v in vt.special_2:
             assert d.base.degree(v) == 2
