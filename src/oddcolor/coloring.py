@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .graph import Edge, Graph, bridges_of
 from .embedding import OnePlanarDrawing, _rebuild_subdrawing, build_associated_plane_graph
@@ -172,28 +172,22 @@ def extend_at_vertex(g: Graph, c: Coloring, v: int, k: int) -> Coloring | None:
     Follows the one-vertex extension argument: each easy neighbor forbids
     one color, each other neighbor two; if v then lacks an odd color, a
     single low-degree vertex near v is recolored to repair parity.
-    Returns a fully verified coloring, or None when no sanctioned
-    combination works (reported, not fatal).  This is ``_extend``, the
-    kernel the reduction colorer runs at every level, with each trial
-    verified in full: c need not be odd on g - v.
+    c has to be odd on g - v: this is ``_extend``, the kernel the reduction
+    colorer runs at every level, and its local checks assume it.  The
+    result is verified once; None means it is not odd on g, or that no
+    sanctioned combination works (reported, not fatal).
     """
-    nbrs = g.neighbors(v)
-    if any(u not in c.assign for u in nbrs):
+    if any(u not in c.assign for u in g.neighbors(v)):
         raise ValueError(f"coloring does not cover N({v})")
     base = dict(c.assign)
     base.pop(v, None)
-    if not nbrs:
-        return Coloring.of(g, {**base, v: 1}, k=k)
     if any(x not in base for x in range(g.n) if x != v):
         return None  # uncolored vertices fail verification whatever v gets
     color = [base.get(x, 1) for x in range(g.n)]
-
-    def verified(adj: list[set[int]], color: list[int], touched: Iterable[int]) -> bool:
-        return verify_odd_coloring(g, Coloring.of(g, dict(enumerate(color)), k=k)).valid
-
-    if not _extend([set(a) for a in g.adj], color, v, k, verified):
+    if not _extend([set(a) for a in g.adj], color, v, k):
         return None
-    return Coloring.of(g, dict(enumerate(color)), k=k)
+    out = Coloring.of(g, dict(enumerate(color)), k=k)
+    return out if verify_odd_coloring(g, out).valid else None
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +220,14 @@ def _valid_near(adj: list[set[int]], color: list[int], touched: Iterable[int]) -
     return True
 
 
-def _extend(
-    adj: list[set[int]],
-    color: list[int],
-    v: int,
-    k: int,
-    valid: Callable[[list[set[int]], list[int], Iterable[int]], bool] = _valid_near,
-) -> bool:
+def _extend(adj: list[set[int]], color: list[int], v: int, k: int) -> bool:
     """Color v, whose edges are in adj, given an odd k-coloring of the rest.
 
     Colors no neighbor forbids go first (an easy neighbor w forbids its
     least odd color when d(w) is low and it has one, else its own color;
     any other neighbor forbids both).  Easy and low use the thresholds
     of the 13-color theorem, whatever k is.  Each color is tried alone, then
-    with one recolored repair target at a time, until ``valid`` accepts
+    with one recolored repair target at a time, until ``_valid_near`` accepts
     the change at the touched vertices.  On success color is odd on the
     whole graph; on failure it is left as it was.
     """
@@ -262,7 +250,7 @@ def _extend(
     targets = None
     for a in candidates:
         color[v] = a
-        if valid(adj, color, (v,)):
+        if _valid_near(adj, color, (v,)):
             return True
         if targets is None:
             targets = _repair_targets(adj, v, nbrs)
@@ -271,7 +259,7 @@ def _extend(
             for b in range(1, k + 1):
                 if b != old:
                     color[r] = b
-                    if valid(adj, color, (v, r)):
+                    if _valid_near(adj, color, (v, r)):
                         return True
             color[r] = old
     color[v] = old_v

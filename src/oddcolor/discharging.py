@@ -73,22 +73,22 @@ def _vertex_payment(
     the poor payment supersedes the semi-poor/3-face payment.
     """
     dv = apg.gstar.degree(v)
-    if apg.is_star(v) or dv < 7:
+    if dv < 7:
         return None
     f = apg.faces[face_index]
     cls = ft.face_class[face_index]
     df = len(f)
     if dv >= 8:
-        if cls.is_poor and df >= 3:
+        if cls.is_poor:
             return Fraction(1), "R1"
-        if (cls is FaceClass.SEMI_POOR and df >= 4) or (df == 3 and not cls.is_poor):
+        if cls is FaceClass.SEMI_POOR or df == 3:
             return Fraction(1, 2), "R1"
         return None
     # dv == 7
     if cls is FaceClass.SEMI_POOR and df == 4:
         return Fraction(1, 2), "R2"
     if cls is FaceClass.SEMI_POOR and df == 5:
-        sevens = sum(1 for x in f if not apg.is_star(x) and apg.gstar.degree(x) == 7)
+        sevens = sum(1 for x in f if apg.gstar.degree(x) == 7)
         if sevens == 2:
             return Fraction(1, 2), "R2"
         return None
@@ -125,7 +125,7 @@ def apply_rules(apg: AssociatedPlaneGraph, vt: VertexTags, ft: FaceTags) -> Char
         if df >= 5 and n2 > 0:
             share = Fraction(df - 4, n2)
             for v in f:
-                if not apg.is_star(v) and apg.gstar.degree(v) == 2:
+                if apg.gstar.degree(v) == 2:
                     transfers.append(Transfer(("f", i), ("v", v), share, "R3"))
         if df >= 4 and n2s > 0 and income[i] != 0:
             share = income[i] / n2s
@@ -148,10 +148,6 @@ class AuditReport:
     negatives: list[dict]
     conserved: bool
     replay_ok: bool
-
-    @property
-    def all_nonnegative(self) -> bool:
-        return not self.negatives
 
     def to_jsonable(self, include_transfers: bool = False) -> dict:
         out = {

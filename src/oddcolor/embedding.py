@@ -3,6 +3,11 @@
 A drawing is input data, never computed: it carries the base graph, the
 set of crossing edge pairs, and a rotation system for the *planarized*
 drawing.  Crossing i is planarized as vertex ``n + i`` (a 4*-vertex).
+``OnePlanarDrawing.validate`` is the one definition of a crossing: its two
+edges are distinct, uncrossed otherwise and share no end, and the rotation
+at its vertex alternates their ends.  So a crossing vertex of G* has four
+neighbors, all true vertices, and two vertices next to each other around
+it lie on different crossed edges.
 
 The associated plane graph G* is built from one drawing and keeps it, so
 the analysis layers take G* alone and read the base graph, crossings and
@@ -27,10 +32,6 @@ class OnePlanarDrawing:
     base: Graph
     crossings: tuple[tuple[Edge, Edge], ...]
     rotation: dict[int, tuple[int, ...]]
-
-    @property
-    def num_crossings(self) -> int:
-        return len(self.crossings)
 
     def star_id(self, crossing_index: int) -> int:
         return self.base.n + crossing_index
@@ -91,6 +92,10 @@ class OnePlanarDrawing:
             for u, v in planar_edges:
                 if (u, v) not in darts or (v, u) not in darts:
                     raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
+        for z, (e1, e2) in enumerate(self.crossings, start=n):
+            order = self.rotation[z]
+            if {order[0], order[2]} not in ({*e1}, {*e2}):
+                raise ValueError(f"rotation at crossing vertex {z} does not alternate {e1} and {e2}")
 
     def without_vertex(self, v: int) -> "OnePlanarDrawing":
         """Drawing with every base edge at v removed (v becomes isolated)."""
@@ -149,7 +154,6 @@ Non-simple faces repeat vertices; all counts downstream are per incidence.
 class AssociatedPlaneGraph:
     drawing: OnePlanarDrawing
     gstar: Graph
-    origin: dict[Edge, Edge]  # planarized edge -> base edge
     faces: tuple[Face, ...]
 
     @property
@@ -224,11 +228,8 @@ def build_associated_plane_graph(d: OnePlanarDrawing) -> AssociatedPlaneGraph:
     keeps its degree.
     """
     d.validate()
-    origin = d.planarization()
-    gstar = Graph.from_edge_list(origin, n=d.base.n + len(d.crossings))
-    apg = AssociatedPlaneGraph(
-        drawing=d, gstar=gstar, origin=origin, faces=trace_faces(d.rotation)
-    )
+    gstar = Graph.from_edge_list(d.planarization(), n=d.base.n + len(d.crossings))
+    apg = AssociatedPlaneGraph(drawing=d, gstar=gstar, faces=trace_faces(d.rotation))
     _check_euler(apg)
     return apg
 

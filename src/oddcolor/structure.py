@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .graph import Edge, Graph, norm_edge
+from .graph import Graph
 from .embedding import AssociatedPlaneGraph, Face
 
 PALETTE = 13
@@ -177,9 +177,7 @@ def _is_special_7(v: int, apg: AssociatedPlaneGraph) -> bool:
     d(v1) >= 10, d(v3), d(v5) >= 7, and d(v7) = 7.  Both orientations and
     all cyclic shifts are accepted.
     """
-    rot = apg.drawing.rotation.get(v, ())
-    if len(rot) != 7:
-        return False
+    rot = apg.drawing.rotation[v]
     if any(len(apg.faces[i]) != 3 for i in apg.faces_at(v)):
         return False
     deg = apg.gstar.degree
@@ -189,48 +187,36 @@ def _is_special_7(v: int, apg: AssociatedPlaneGraph) -> bool:
             w = [orient[(shift + i) % 7] for i in range(7)]  # v1..v7
             if not (star(w[1]) and star(w[3]) and star(w[5])):
                 continue
-            if star(w[0]) or deg(w[0]) < 10:
-                continue
-            if star(w[2]) or deg(w[2]) < 7:
-                continue
-            if star(w[4]) or deg(w[4]) < 7:
-                continue
-            if star(w[6]) or deg(w[6]) != 7:
-                continue
-            return True
+            if deg(w[0]) >= 10 and deg(w[2]) >= 7 and deg(w[4]) >= 7 and deg(w[6]) == 7:
+                return True
     return False
 
 
-def _crossing_partner_info(
-    apg: AssociatedPlaneGraph, z: int, u: int
-) -> tuple[Edge, int]:
-    """For star z adjacent to u: u's crossed edge through z and its far end."""
-    e = apg.origin[norm_edge(u, z)]
-    other = e[1] if e[0] == u else e[0]
-    return e, other
+def _far_end(apg: AssociatedPlaneGraph, z: int, u: int) -> int:
+    """For star z adjacent to u: the far end of u's crossed edge through z."""
+    e1, e2 = apg.drawing.crossings[z - apg.drawing.base.n]
+    a, b = e1 if u in e1 else e2
+    return a + b - u
 
 
 def _poor4_witness(
     f: Face, apg: AssociatedPlaneGraph, easy: set[int]
 ) -> dict | None:
-    """Check the poor 4-face pattern (u, 4*, 2-vertex, 4*)."""
+    """Check the poor 4-face pattern (u, 4*, 2-vertex, 4*).
+
+    u and v are neighbors of stars, so true vertices; consecutive around a
+    star, they lie on its two different crossed edges.
+    """
     if len(f) != 4:
         return None
     for i in range(4):
         u, z1, v, z2 = f[i], f[(i + 1) % 4], f[(i + 2) % 4], f[(i + 3) % 4]
-        if apg.is_star(u) or apg.is_star(v):
-            continue
         if not (apg.is_star(z1) and apg.is_star(z2)):
             continue
         if apg.gstar.degree(v) != 2 or apg.gstar.degree(u) == 2:
             continue
-        # both of v's edges must be crossed by edges of u whose far ends are easy
-        e_u1, x = _crossing_partner_info(apg, z1, u)
-        e_v1, _ = _crossing_partner_info(apg, z1, v)
-        e_u2, y = _crossing_partner_info(apg, z2, u)
-        e_v2, _ = _crossing_partner_info(apg, z2, v)
-        if e_u1 == e_v1 or e_u2 == e_v2:
-            continue  # the star's two crossed edges must come from u and v
+        # both of v's edges are crossed by edges of u, whose far ends must be easy
+        x, y = _far_end(apg, z1, u), _far_end(apg, z2, u)
         if x in easy and y in easy:
             return {"u": u, "v": v, "x": x, "y": y}
     return None
@@ -245,8 +231,6 @@ def _poor6_witness(
     for i in range(6):
         u = f[i]
         z1, v, z2, w, z3 = (f[(i + j) % 6] for j in range(1, 6))
-        if apg.is_star(u) or apg.is_star(v) or apg.is_star(w):
-            continue
         if not (apg.is_star(z1) and apg.is_star(z2) and apg.is_star(z3)):
             continue
         if apg.gstar.degree(v) != 2 or apg.gstar.degree(w) != 2:
@@ -254,12 +238,7 @@ def _poor6_witness(
         if v not in special_2 or w not in special_2:
             continue
         # z1 crosses an edge of u with an edge of v; z3 likewise for u and w
-        e_u1, x = _crossing_partner_info(apg, z1, u)
-        e_v1, _ = _crossing_partner_info(apg, z1, v)
-        e_u2, y = _crossing_partner_info(apg, z3, u)
-        e_w2, _ = _crossing_partner_info(apg, z3, w)
-        if e_u1 == e_v1 or e_u2 == e_w2:
-            continue
+        x, y = _far_end(apg, z1, u), _far_end(apg, z3, u)
         if x in easy and y in easy:
             return {"u": u, "v": v, "w": w, "x": x, "y": y}
     return None
@@ -271,12 +250,11 @@ def classify_faces(apg: AssociatedPlaneGraph, vt: VertexTags) -> FaceTags:
     n2_list: list[int] = []
     n2s_list: list[int] = []
     for f in apg.faces:
-        n2 = sum(1 for v in f if not apg.is_star(v) and apg.gstar.degree(v) == 2)
+        n2 = sum(1 for v in f if apg.gstar.degree(v) == 2)
         n2s = sum(1 for v in f if v in vt.special_2)
         cls = FaceClass.ORDINARY
         wit: dict = {}
         deg = len(f)
-        originals = [v for v in f if not apg.is_star(v)]
         if deg == 3:
             sevens = sevens_of_7710(f, apg)
             if sevens and all(v in vt.special_7 for v in sevens):
@@ -298,16 +276,12 @@ def classify_faces(apg: AssociatedPlaneGraph, vt: VertexTags) -> FaceTags:
                 cls = FaceClass.POOR6
                 wit = w6
         if cls is FaceClass.ORDINARY and deg >= 6:
-            eights = [
-                v
-                for v in originals
-                if apg.gstar.degree(v) >= 8
-            ]
+            eights = [v for v in f if apg.gstar.degree(v) >= 8]
             rest_ok = all(
                 apg.is_star(v) or apg.gstar.degree(v) == 2 or apg.gstar.degree(v) >= 8
                 for v in f
             )
-            if len(eights) == 1 and rest_ok and len(originals) - 1 == n2:
+            if len(eights) == 1 and rest_ok:
                 cls = FaceClass.SEMI_POOR
                 wit = {"v8plus": eights[0]}
         classes.append(cls)
@@ -428,15 +402,13 @@ def detect_lemma_violations(apg: AssociatedPlaneGraph, colors: int = PALETTE) ->
             continue
         incidences = sorted(len(apg.faces[i]) for i in apg.faces_at(x))
         # a 2-vertex lies on two face incidences; need one 5+ and one 4+
-        if len(incidences) < 2 or not (
-            incidences[-1] >= 5 and incidences[-2] >= 4
-        ):
+        if not (incidences[-1] >= 5 and incidences[-2] >= 4):
             v["L6"].append({"vertex": x, "face_degrees": incidences})
 
     for i, f in enumerate(apg.faces):
         if len(f) != 4:
             continue
-        twos = sum(1 for x in f if not apg.is_star(x) and apg.gstar.degree(x) == 2)
+        twos = sum(1 for x in f if apg.gstar.degree(x) == 2)
         stars = sum(1 for x in f if apg.is_star(x))
         if twos == 2 and stars == 2:
             v["L7"].append({"face": i})

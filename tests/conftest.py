@@ -121,6 +121,25 @@ def special7_drawing() -> OnePlanarDrawing:
     )
 
 
+def crossed_k4_drawing(star_rotation: tuple[int, ...] = (0, 1, 2, 3)) -> OnePlanarDrawing:
+    """K4 drawn as a square with crossing diagonals (one 4*-vertex, 4).
+
+    The default rotation at the star alternates the diagonals' ends;
+    (0, 2, 1, 3) does not.
+    """
+    g = Graph.from_edge_list(
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)], n=4
+    )
+    rot = {
+        0: (1, 4, 3),
+        1: (2, 4, 0),
+        2: (3, 4, 1),
+        3: (0, 4, 2),
+        4: star_rotation,
+    }
+    return OnePlanarDrawing(base=g, crossings=(((0, 2), (1, 3)),), rotation=rot)
+
+
 def plane_c5_drawing() -> OnePlanarDrawing:
     g = Graph.from_edge_list([(i, (i + 1) % 5) for i in range(5)], n=5)
     rot = {i: ((i + 1) % 5, (i - 1) % 5) for i in range(5)}

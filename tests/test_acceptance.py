@@ -139,7 +139,7 @@ def test_criterion_5_contrapositive(corpus, corpus_apgs):
     for d, apg, vt, ft in _tagged(corpus, corpus_apgs):
         lemmas = detect_lemma_violations(apg)
         rep = audit(apg, vt, ft, lemmas)
-        if lemmas.satisfied_all and rep.all_nonnegative:
+        if lemmas.satisfied_all and not rep.negatives:
             counterexamples += 1
     _report(5, counterexamples == 0, f"{len(corpus)} drawings, {counterexamples} counterexamples")
 

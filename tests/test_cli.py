@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from oddcolor import cli
 from oddcolor.cli import main
+from oddcolor.embedding import drawing_to_json
 from oddcolor.graph import Graph, format_edge_list
 
-from conftest import MALFORMED_DRAWINGS, k4_with_rotation_key
+from conftest import MALFORMED_DRAWINGS, crossed_k4_drawing, k4_with_rotation_key
 
 
 def run(capsys, *argv):
@@ -157,6 +158,15 @@ def test_deeply_nested_drawing_json_exits_2(tmp_path, capsys, command):
     code, out, err = run(capsys, command, str(drawing))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {drawing}: malformed drawing JSON: ")
+
+
+@pytest.mark.parametrize("command", ["gstar", "reduce-color"])
+def test_non_alternating_crossing_rotation_exits_2(tmp_path, capsys, command):
+    drawing = tmp_path / "d.json"
+    drawing.write_text(drawing_to_json(crossed_k4_drawing(star_rotation=(0, 2, 1, 3))))
+    code, out, err = run(capsys, command, str(drawing))
+    assert (code, out) == (2, "")
+    assert "rotation at crossing vertex 4 does not alternate" in err
 
 
 def _assert_cannot_write(capsys, path, *argv):

@@ -271,6 +271,22 @@ def test_extend_at_vertex_isolated():
     assert out.assign[0] == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_partial_coloring(), st.data())
+def test_extend_at_vertex_returns_none_or_an_odd_coloring(case, data):
+    """c need not be odd on g - v, so the result is verified before it is returned."""
+    g, c = case
+    if not g.n:
+        return
+    v = data.draw(st.integers(0, g.n - 1))
+    if any(u not in c.assign for u in g.neighbors(v)):
+        with pytest.raises(ValueError, match="does not cover"):
+            extend_at_vertex(g, c, v, c.k)
+        return
+    out = extend_at_vertex(g, c, v, c.k)
+    assert out is None or verify_odd_coloring(g, out).valid
+
+
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edge_list(pairs, n=n)

@@ -18,23 +18,15 @@ from oddcolor.embedding import (
 )
 
 from oddcolor.generators import random_one_planar
+from oddcolor.structure import FaceClass, classify_faces, classify_vertices
 
-from conftest import plane_c5_drawing, poor4_drawing, semipoor5_drawing, special7_drawing
-
-
-def crossed_k4_drawing() -> OnePlanarDrawing:
-    """K4 drawn as a square with crossing diagonals (one 4*-vertex)."""
-    g = Graph.from_edge_list(
-        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)], n=4
-    )
-    rot = {
-        0: (1, 4, 3),
-        1: (2, 4, 0),
-        2: (3, 4, 1),
-        3: (0, 4, 2),
-        4: (0, 1, 2, 3),
-    }
-    return OnePlanarDrawing(base=g, crossings=(((0, 2), (1, 3)),), rotation=rot)
+from conftest import (
+    crossed_k4_drawing,
+    plane_c5_drawing,
+    poor4_drawing,
+    semipoor5_drawing,
+    special7_drawing,
+)
 
 
 def test_c5_traces_two_pentagon_faces():
@@ -73,7 +65,7 @@ def test_crossed_k4_planarization():
 def test_origin_map_round_trip():
     d = poor4_drawing()
     apg = build_associated_plane_graph(d)
-    for e, base_edge in apg.origin.items():
+    for e, base_edge in d.planarization().items():
         assert base_edge in d.base.edges
         stars = [x for x in e if apg.is_star(x)]
         if stars:
@@ -84,15 +76,35 @@ def test_origin_map_round_trip():
             assert e == base_edge
     # every crossed base edge is covered by exactly two half-edges
     for e in d.star_of_edge():
-        halves = [pe for pe, be in apg.origin.items() if be == e]
+        halves = [pe for pe, be in d.planarization().items() if be == e]
         assert len(halves) == 2
 
 
 def test_no_adjacent_stars_and_star_degree(corpus_apgs):
-    for apg in corpus_apgs:
-        for z in apg.star_vertices:
+    """The facts about a valid G* that the taxonomy and the rules rely on."""
+    fixtures = [poor4_drawing(), semipoor5_drawing(), semipoor5_drawing(extra_leaf=True),
+                special7_drawing()]
+    for apg in [*corpus_apgs, *map(build_associated_plane_graph, fixtures)]:
+        d = apg.drawing
+        for z, (e1, e2) in enumerate(d.crossings, start=d.base.n):
             assert apg.gstar.degree(z) == 4
             assert all(not apg.is_star(w) for w in apg.gstar.neighbors(z))
+            edge_of = {x: e for e in (e1, e2) for x in e}
+            order = d.rotation[z]
+            assert sorted(order) == sorted(edge_of)
+            assert all(edge_of[order[i - 1]] != edge_of[order[i]] for i in range(4))
+        for v in range(d.base.n):
+            assert apg.gstar.degree(v) == d.base.degree(v)
+            if d.base.degree(v) == 2:
+                assert len(apg.faces_at(v)) == 2
+            if d.base.degree(v) == 7:
+                assert len(d.rotation[v]) == 7
+        ft = classify_faces(apg, classify_vertices(apg))
+        for f, cls in zip(apg.faces, ft.face_class):
+            if cls.is_poor:
+                assert len(f) >= 3
+            elif cls is FaceClass.SEMI_POOR:
+                assert len(f) >= 4
 
 
 def test_euler_formula_per_component(corpus_apgs):
@@ -133,6 +145,13 @@ def test_validate_rejects_incomplete_rotation():
         d.validate()
 
 
+def test_validate_rejects_non_alternating_crossing_rotation():
+    crossed_k4_drawing().validate()
+    d = crossed_k4_drawing(star_rotation=(0, 2, 1, 3))
+    with pytest.raises(ValueError, match=r"crossing vertex 4 does not alternate \(0, 2\) and \(1, 3\)"):
+        d.validate()
+
+
 def test_trace_faces_requires_reverse_darts():
     with pytest.raises(ValueError, match="reverse"):
         trace_faces({0: (1,), 1: ()})
@@ -142,7 +161,7 @@ def test_without_vertex_splices_crossings():
     d = poor4_drawing()
     d2 = d.without_vertex(1)  # removes v; both crossings lose a member
     d2.validate()
-    assert d2.num_crossings == 0
+    assert len(d2.crossings) == 0
     assert d2.base.degree(1) == 0
     apg = build_associated_plane_graph(d2)
     assert not apg.star_vertices

@@ -55,13 +55,13 @@ def test_random_one_planar_deterministic():
 
 def test_random_one_planar_has_crossings():
     d = random_one_planar(30, seed=1)
-    assert d.num_crossings >= 1
-    assert d.num_crossings <= max(1, 30 // 5)
+    assert len(d.crossings) >= 1
+    assert len(d.crossings) <= max(1, 30 // 5)
 
 
 def test_random_one_planar_crossing_cap():
     d = random_one_planar(25, seed=2, crossings=2)
-    assert d.num_crossings <= 2
+    assert len(d.crossings) <= 2
 
 
 def test_random_one_planar_minimum_size():
@@ -103,7 +103,7 @@ def test_random_one_planar_large_drawing_under_default_recursion_limit():
     assert sys.getrecursionlimit() <= 1000
     d = random_one_planar(6400, seed=3)
     apg = build_associated_plane_graph(d)  # validates d first
-    assert d.base.n == 6400 and len(apg.star_vertices) == d.num_crossings == 6400 // 5
+    assert d.base.n == 6400 and len(apg.star_vertices) == len(d.crossings) == 6400 // 5
 
 
 def test_corpus_drawings_validate_and_planarize(corpus, corpus_apgs):
@@ -112,4 +112,4 @@ def test_corpus_drawings_validate_and_planarize(corpus, corpus_apgs):
         # planarization invariants
         for v in range(d.base.n):
             assert apg.gstar.degree(v) == d.base.degree(v)
-        assert len(apg.star_vertices) == d.num_crossings
+        assert len(apg.star_vertices) == len(d.crossings)

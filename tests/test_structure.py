@@ -1,7 +1,7 @@
 import pytest
 
 from oddcolor.graph import Graph
-from oddcolor.embedding import build_associated_plane_graph
+from oddcolor.embedding import Face, OnePlanarDrawing, build_associated_plane_graph
 from oddcolor.generators import complete, cycle
 from oddcolor.structure import (
     FaceClass,
@@ -126,6 +126,44 @@ def test_semi_poor_5_face():
     assert ft.n_2[five] == 1
     four = next(i for i, f in enumerate(apg.faces) if len(f) == 4)
     assert ft.face_class[four] is FaceClass.POOR4
+
+
+def _face_classes(d: OnePlanarDrawing) -> dict[Face, tuple[FaceClass, dict]]:
+    apg = build_associated_plane_graph(d)
+    ft = classify_faces(apg, classify_vertices(apg))
+    return dict(zip(apg.faces, zip(ft.face_class, ft.witness)))
+
+
+def test_4_face_without_stars_is_no_poor_4_face():
+    """(u, a, v, b) has d(v) = 2 and d(u) = 3, the degrees of a poor 4-face,
+    but a and b are true vertices."""
+    g = Graph.from_edge_list([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)], n=5)
+    rot = {0: (1, 4, 3), 1: (0, 2), 2: (1, 3), 3: (2, 0), 4: (0,)}
+    classes = _face_classes(OnePlanarDrawing(base=g, crossings=(), rotation=rot))
+    assert classes[0, 1, 2, 3] == (FaceClass.SEMI_POOR, {})
+
+
+def test_6_face_of_stars_2_vertices_and_one_8_vertex_is_semi_poor():
+    """The face (u, z1, v, z2, w, z3) with d(u) = 8 and 2-vertices v, w that
+    lie on no 4-face, so it is no poor 6-face."""
+    edges = [(0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (0, 8)] + [(0, x) for x in range(9, 15)]
+    z1, z2, z3 = 15, 16, 17
+    rot = {
+        0: (z1, *range(9, 15), z3),
+        1: (z1, z2),
+        2: (z2, z3),
+        z1: (0, 1, 3, 4),
+        z2: (1, 2, 5, 6),
+        z3: (2, 0, 7, 8),
+    }
+    rot |= {x: (z1,) for x in (3, 4)} | {x: (z2,) for x in (5, 6)} | {x: (z3,) for x in (7, 8)}
+    rot |= {x: (0,) for x in range(9, 15)}
+    d = OnePlanarDrawing(
+        base=Graph.from_edge_list(edges, n=15),
+        crossings=(((0, 3), (1, 4)), ((1, 5), (2, 6)), ((2, 7), (0, 8))),
+        rotation=rot,
+    )
+    assert _face_classes(d)[0, z1, 1, z2, 2, z3] == (FaceClass.SEMI_POOR, {"v8plus": 0})
 
 
 def test_c5_faces_are_semi_poor():
