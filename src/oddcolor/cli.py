@@ -35,26 +35,23 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-
-
-class InputError(Exception):
-    pass
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _load(parse, path: str):
-    """parse applied to the text of path; a ValueError names the file."""
+    """parse applied to the text of path; a ValueError of parse names the file."""
+    text = _read(path)
     try:
-        return parse(_read(path))
+        return parse(text)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit_json(payload: dict) -> None:
@@ -65,16 +62,13 @@ def cmd_chi_odd(args) -> int:
     g = _load(parse_edge_list, args.graph)
     kmax = args.kmax if args.kmax is not None else max(g.n, 1)
     value, witness = exact_odd_chromatic_number(g, kmax)
-    if value is None:
-        print(f"exceeds {kmax}")
-        return 1
     if args.witness and witness is not None:
         _write(args.witness, format_coloring(witness))
     if args.format == "json":
         _emit_json({"chi_odd": value, "kmax": kmax})
     else:
-        print(value)
-    return 0
+        print(f"exceeds {kmax}" if value is None else value)
+    return 1 if value is None else 0
 
 
 def cmd_verify(args) -> int:
@@ -257,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .graph import Edge, Graph, bridges_of
+from .graph import Edge, Graph, bridges_of, reach
 from .embedding import OnePlanarDrawing, _rebuild_subdrawing, build_associated_plane_graph
 from .structure import PALETTE, breaks_lemma4, easy_vertices, is_easy, is_low, sevens_of_778
 
@@ -22,7 +22,7 @@ class Coloring:
     assign: dict[int, int]
 
     @staticmethod
-    def of(g: Graph, assign: dict[int, int], k: int | None = None) -> "Coloring":
+    def of(assign: dict[int, int], k: int | None = None) -> "Coloring":
         not_int = [v for v, c in assign.items() if type(c) is not int]
         if not_int:  # verification reads a color as a bit position
             raise ValueError(f"colors must be integers at vertices {not_int}")
@@ -134,11 +134,7 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
                 stack.append(frame(len(stack), max(max_used, a)))
 
     if found and (k >= 1 or searched == n):  # isolated vertices need color 1
-        assign = {v: color[v] or 1 for v in range(n)}
-        c = Coloring.of(g, assign, k=k)
-        rep = verify_odd_coloring(g, c)
-        assert rep.valid, "search returned an invalid coloring"
-        return c
+        return Coloring.of({v: color[v] or 1 for v in range(n)}, k=k)
     return None
 
 
@@ -186,7 +182,7 @@ def extend_at_vertex(g: Graph, c: Coloring, v: int, k: int) -> Coloring | None:
     color = [base.get(x, 1) for x in range(g.n)]
     if not _extend([set(a) for a in g.adj], color, v, k):
         return None
-    out = Coloring.of(g, dict(enumerate(color)), k=k)
+    out = Coloring.of(dict(enumerate(color)), k=k)
     return out if verify_odd_coloring(g, out).valid else None
 
 
@@ -223,25 +219,21 @@ def _valid_near(adj: list[set[int]], color: list[int], touched: Iterable[int]) -
 def _extend(adj: list[set[int]], color: list[int], v: int, k: int) -> bool:
     """Color v, whose edges are in adj, given an odd k-coloring of the rest.
 
-    Colors no neighbor forbids go first (an easy neighbor w forbids its
-    least odd color when d(w) is low and it has one, else its own color;
-    any other neighbor forbids both).  Easy and low use the thresholds
-    of the 13-color theorem, whatever k is.  Each color is tried alone, then
-    with one recolored repair target at a time, until ``_valid_near`` accepts
-    the change at the touched vertices.  On success color is odd on the
+    Colors no neighbor forbids go first: a neighbor w forbids the least
+    color odd on N(w) - v, if there is one, unless w is easy and d(w) is
+    not low (w's own color is never a candidate).  Easy and low use the
+    thresholds of the 13-color theorem, whatever k is.  Each color is tried
+    alone, then with one recolored repair target at a time, until
+    ``_valid_near`` accepts the change at the touched vertices.  On success color is odd on the
     whole graph; on failure it is left as it was.
     """
     nbrs = sorted(adj[v])
     forbidden: set[int] = set()
     for w in nbrs:
         odd = _odd_mask(adj, color, w, skip=v)
-        least_odd = (odd & -odd).bit_length() - 1
-        if is_easy(len(adj[w]), (len(adj[u]) for u in adj[w])):
-            forbidden.add(least_odd if odd and is_low(len(adj[w])) else color[w])
-        else:
-            forbidden.add(color[w])
-            if odd:
-                forbidden.add(least_odd)
+        dw = len(adj[w])
+        if odd and (is_low(dw) or not is_easy(dw, (len(adj[u]) for u in adj[w]))):
+            forbidden.add((odd & -odd).bit_length() - 1)
     banned = {color[w] for w in nbrs}
     candidates = [a for a in range(1, k + 1) if a not in banned]
     candidates.sort(key=lambda a: (a in forbidden, a))
@@ -308,20 +300,12 @@ def _bridge_colors(
 def _exchange(adj: list[set[int]], color: list[int], s: int, a: int) -> None:
     """Exchange color a with the color of s on the component of s."""
     c = color[s]
-    if a == c:
-        return
-    seen = {s}
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        if color[x] == a:
-            color[x] = c
-        elif color[x] == c:
-            color[x] = a
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+    if a != c:
+        for x in reach(adj, s):
+            if color[x] == a:
+                color[x] = c
+            elif color[x] == c:
+                color[x] = a
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +408,7 @@ def _spans_bridgeless(adj: list[set[int]], vertices: set[int]) -> bool:
     order = list(vertices)
     index = {x: i for i, x in enumerate(order)}
     local = [[index[y] for y in adj[x] if y in index] for x in order]
-    seen = {0}
-    stack = [0]
-    while stack:
-        for y in local[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(order) and not bridges_of(local)
+    return len(reach(local, 0)) == len(order) and not bridges_of(local)
 
 
 def _pick_reducible(d: OnePlanarDrawing, g: Graph) -> list[tuple[int, str]]:
@@ -558,7 +535,7 @@ def color_by_reduction(
     if not ok:
         return ReductionResult(None, trace)
 
-    c = Coloring.of(g, dict(enumerate(color)), k=k)
+    c = Coloring.of(dict(enumerate(color)), k=k)
     if not verify_odd_coloring(g, c).valid:
         trace.append("final verification failed")
         return ReductionResult(None, trace)
@@ -574,7 +551,7 @@ def _greedy_with_repair(g: Graph, k: int) -> dict[int, int] | None:
         if not choices:
             return None
         assign[v] = choices[0]
-    c = Coloring.of(g, {**assign, **{v: 1 for v in range(g.n) if v not in assign}}, k=k)
+    c = Coloring.of({**assign, **{v: 1 for v in range(g.n) if v not in assign}}, k=k)
     for _ in range(4 * g.n):
         rep = verify_odd_coloring(g, c)
         if rep.valid:
@@ -588,7 +565,7 @@ def _greedy_with_repair(g: Graph, k: int) -> dict[int, int] | None:
                     continue
                 trial = dict(c.assign)
                 trial[r] = b
-                c2 = Coloring.of(g, trial, k=k)
+                c2 = Coloring.of(trial, k=k)
                 r2 = verify_odd_coloring(g, c2)
                 if len(r2.odd_violations) + len(r2.proper_violations) < len(
                     rep.odd_violations
@@ -623,7 +600,7 @@ def parse_coloring(text: str, g: Graph, k: int | None = None) -> Coloring:
         if v in assign:
             raise ValueError(f"line {lineno}: vertex {v} colored twice")
         assign[v] = col
-    return Coloring.of(g, assign, k=k)
+    return Coloring.of(assign, k=k)
 
 
 def format_coloring(c: Coloring) -> str:

@@ -160,10 +160,8 @@ def random_one_planar(
         crossing_pairs.append(((a, c), norm_edge(b, d)))  # a < c in every candidate
 
     base = Graph.from_edge_list(base_edges | new_edges, n=n)
-    drawing = OnePlanarDrawing(
+    return OnePlanarDrawing(
         base=base,
         crossings=tuple(crossing_pairs),
         rotation={v: tuple(o) for v, o in rotation.items()},
     )
-    drawing.validate()
-    return drawing

@@ -64,27 +64,29 @@ class Graph:
 
     def components(self) -> list[set[int]]:
         """Connected components as vertex sets (isolated vertices included)."""
-        seen = [False] * self.n
-        out = []
+        out: list[set[int]] = []
+        seen: set[int] = set()
         for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = {s}
-            seen[s] = True
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.add(y)
-                        stack.append(y)
-            out.append(comp)
+            if s not in seen:
+                out.append(reach(self.adj, s))
+                seen |= out[-1]
         return out
 
     def bridges(self) -> set[Edge]:
         """Cut edges, via iterative DFS lowpoint computation."""
         return bridges_of(self.adj)
+
+
+def reach(adj: Sequence[Collection[int]], s: int) -> set[int]:
+    """The vertices joined to s by a path in the graph with adjacency ``adj``, s included."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def bridges_of(adj: Sequence[Collection[int]]) -> set[Edge]:

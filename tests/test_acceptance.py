@@ -63,7 +63,7 @@ def test_criterion_2_subdivided_k7():
         assign = {v: rng.randrange(1, 8) for v in range(g.n)}
         i, j = rng.sample(branches, 2)
         assign[j] = assign[i]
-        if verify_odd_coloring(g, Coloring.of(g, assign, k=7)).valid:
+        if verify_odd_coloring(g, Coloring.of(assign, k=7)).valid:
             sampled_ok = False
             break
 

@@ -49,6 +49,14 @@ def test_chi_odd_exceeds_kmax(tmp_path, capsys):
     assert code == 1 and out.strip() == "exceeds 4"
 
 
+def test_chi_odd_exceeds_kmax_json(tmp_path, capsys):
+    graph = tmp_path / "c5.txt"
+    main(["gen", "cycle", "5", "-o", str(graph)])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "chi-odd", str(graph), "--kmax", "3", "--format", "json")
+    assert code == 1 and json.loads(out) == {"chi_odd": None, "kmax": 3}
+
+
 def test_verify_invalid_exit_code(tmp_path, capsys):
     graph = tmp_path / "c4.txt"
     main(["gen", "cycle", "4", "-o", str(graph)])
@@ -69,8 +77,9 @@ def test_malformed_input_exit_code(tmp_path, capsys):
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
-    code, _, err = run(capsys, "chi-odd", str(tmp_path / "absent.txt"))
-    assert code == 2
+    absent = tmp_path / "absent.txt"
+    code, _, err = run(capsys, "chi-odd", str(absent))
+    assert code == 2 and err.startswith(f"error: cannot read {absent}: ")
 
 
 def test_gstar_text_and_dot(tmp_path, capsys):

@@ -41,13 +41,13 @@ from conftest import plane_c5_drawing
 
 def test_verify_rainbow_c5_is_valid():
     g = cycle(5)
-    c = Coloring.of(g, {v: v + 1 for v in range(5)}, k=5)
+    c = Coloring.of({v: v + 1 for v in range(5)}, k=5)
     assert verify_odd_coloring(g, c).valid
 
 
 def test_verify_c4_alternating_fails_odd_condition():
     g = cycle(4)
-    c = Coloring.of(g, {0: 1, 1: 2, 2: 1, 3: 2}, k=2)
+    c = Coloring.of({0: 1, 1: 2, 2: 1, 3: 2}, k=2)
     rep = verify_odd_coloring(g, c)
     assert not rep.proper_violations
     assert rep.odd_violations == frozenset({0, 1, 2, 3})
@@ -56,24 +56,24 @@ def test_verify_c4_alternating_fails_odd_condition():
 
 def test_verify_flags_proper_violations():
     g = Graph.from_edge_list([(0, 1)])
-    c = Coloring.of(g, {0: 1, 1: 1}, k=2)
+    c = Coloring.of({0: 1, 1: 1}, k=2)
     rep = verify_odd_coloring(g, c)
     assert rep.proper_violations == frozenset({(0, 1)})
 
 
 def test_verify_k2_two_colors_valid():
     g = Graph.from_edge_list([(0, 1)])
-    c = Coloring.of(g, {0: 1, 1: 2}, k=2)
+    c = Coloring.of({0: 1, 1: 2}, k=2)
     assert verify_odd_coloring(g, c).valid
 
 
 def test_isolated_vertices_exempt_and_uncolored_reported():
     g = Graph.from_edge_list([(0, 1)], n=3)
-    c = Coloring.of(g, {0: 1, 1: 2}, k=2)
+    c = Coloring.of({0: 1, 1: 2}, k=2)
     rep = verify_odd_coloring(g, c)
     assert rep.uncolored == frozenset({2})
     assert not rep.valid  # uncolored vertex blocks validity
-    full = Coloring.of(g, {0: 1, 1: 2, 2: 1}, k=2)
+    full = Coloring.of({0: 1, 1: 2, 2: 1}, k=2)
     assert verify_odd_coloring(g, full).valid  # isolated vertex: any color
 
 
@@ -132,9 +132,7 @@ def test_subdivided_k4_oracle():
         for assign in itertools.product((1, 2, 3), repeat=g.n)
     )
     # an explicit hand-built 4-coloring is valid
-    hand = Coloring.of(
-        g, {0: 1, 1: 2, 2: 3, 3: 4, 4: 3, 5: 2, 6: 2, 7: 4, 8: 3, 9: 1}, k=4
-    )
+    hand = Coloring.of({0: 1, 1: 2, 2: 3, 3: 4, 4: 3, 5: 2, 6: 2, 7: 4, 8: 3, 9: 1}, k=4)
     assert verify_odd_coloring(g, hand).valid
 
 
@@ -162,7 +160,7 @@ def test_branch_vertices_must_get_distinct_colors():
         assign = {v: rng.randrange(1, 8) for v in range(g.n)}
         i, j = rng.sample(branches, 2)
         assign[j] = assign[i]
-        c = Coloring.of(g, assign, k=7)
+        c = Coloring.of(assign, k=7)
         assert not verify_odd_coloring(g, c).valid
 
 
@@ -210,7 +208,11 @@ def test_solver_agrees_with_brute_force(n, seed):
         ),
         None,
     )
-    assert exact_odd_chromatic_number(g, kmax)[0] == oracle
+    value, witness = exact_odd_chromatic_number(g, kmax)
+    assert value == oracle
+    if value is not None:  # the search returns its coloring unverified
+        assignment = tuple(witness.assign[v] for v in range(n))
+        assert _oracle_check(g, assignment) and set(assignment) <= set(range(1, value + 1))
 
 
 @st.composite
@@ -222,7 +224,7 @@ def _graph_and_partial_coloring(draw):
     k = draw(st.integers(1, 5))
     assign = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, k))) if n else {}
     g = Graph.from_edge_list(edges, n=n)
-    return g, Coloring.of(g, assign, k=k)
+    return g, Coloring.of(assign, k=k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -266,7 +268,7 @@ def test_extend_at_vertex_restores_removed_vertex():
 
 def test_extend_at_vertex_isolated():
     g = Graph.from_edge_list([(1, 2)], n=3)
-    c = Coloring.of(g, {1: 1, 2: 2}, k=13)
+    c = Coloring.of({1: 1, 2: 2}, k=13)
     out = extend_at_vertex(g, c, 0, 13)
     assert out.assign[0] == 1
 
@@ -308,13 +310,13 @@ def test_local_checks_agree_with_full_verification():
         color = [base.assign[x] for x in range(n)]
         for a in range(1, k + 1):
             color[v] = a
-            full = verify_odd_coloring(g, Coloring.of(g, dict(enumerate(color)), k=k))
+            full = verify_odd_coloring(g, Coloring.of(dict(enumerate(color)), k=k))
             assert _valid_near(adj, color, (v,)) == full.valid
             r = rng.choice([x for x in range(n) if x != v])
             old = color[r]
             for b in range(1, k + 1):
                 color[r] = b
-                full = verify_odd_coloring(g, Coloring.of(g, dict(enumerate(color)), k=k))
+                full = verify_odd_coloring(g, Coloring.of(dict(enumerate(color)), k=k))
                 assert _valid_near(adj, color, (v, r)) == full.valid
                 extensions += 1
             color[r] = old
@@ -336,7 +338,7 @@ def test_local_checks_agree_with_full_verification():
             trial = list(color)
             _exchange(adj, trial, u, a)
             _exchange(adj, trial, w, b)
-            c = Coloring.of(joined, dict(enumerate(trial)), k=k)
+            c = Coloring.of(dict(enumerate(trial)), k=k)
             if verify_odd_coloring(joined, c).valid:
                 valid_pairs.append((a, b))
             bridges += 1
@@ -364,7 +366,7 @@ def test_reduction_colorer_needs_no_deep_stack(tmp_path):
     assert res.ok and verify_odd_coloring(d.base, res.coloring).valid
     assert code == 0
     assign = {int(v): c for v, c in json.loads(out.getvalue())["coloring"].items()}
-    assert verify_odd_coloring(d.base, Coloring.of(d.base, assign, k=13)).valid
+    assert verify_odd_coloring(d.base, Coloring.of(assign, k=13)).valid
 
 
 def test_reduction_colorer_on_c5():
@@ -379,7 +381,7 @@ def test_reduction_colorer_on_c5():
 
 def test_coloring_format_round_trip():
     g = cycle(5)
-    c = Coloring.of(g, {v: v + 1 for v in range(5)}, k=5)
+    c = Coloring.of({v: v + 1 for v in range(5)}, k=5)
     assert parse_coloring(format_coloring(c), g, k=5) == c
 
 
@@ -394,13 +396,12 @@ def test_parse_coloring_errors():
 
 
 def test_coloring_of_rejects_out_of_range_colors():
-    g = cycle(3)
     with pytest.raises(ValueError, match="out of range"):
-        Coloring.of(g, {0: 4}, k=3)
+        Coloring.of({0: 4}, k=3)
     with pytest.raises(ValueError, match="out of range"):
-        Coloring.of(g, {0: 1, 1: 0}, k=3)
+        Coloring.of({0: 1, 1: 0}, k=3)
     for color in (2.0, 1.5, True):  # verification reads colors as bit positions
         with pytest.raises(ValueError, match=r"colors must be integers at vertices \[1\]"):
-            Coloring.of(g, {0: 1, 1: color}, k=3)
+            Coloring.of({0: 1, 1: color}, k=3)
         with pytest.raises(ValueError, match="must be integers"):
-            Coloring.of(g, {0: 1, 1: color})
+            Coloring.of({0: 1, 1: color})

@@ -108,7 +108,7 @@ def test_random_one_planar_large_drawing_under_default_recursion_limit():
 
 def test_corpus_drawings_validate_and_planarize(corpus, corpus_apgs):
     for d, apg in zip(corpus, corpus_apgs):
-        d.validate()  # idempotent; also ran at construction
+        d.validate()
         # planarization invariants
         for v in range(d.base.n):
             assert apg.gstar.degree(v) == d.base.degree(v)

@@ -43,10 +43,10 @@ from pathlib import Path
 import pytest
 
 from oddcolor import cli
-from oddcolor.coloring import color_by_reduction
+from oddcolor.coloring import _Peel, color_by_reduction
 from oddcolor.embedding import OnePlanarDrawing, drawing_to_json
 from oddcolor.generators import complete, random_one_planar
-from oddcolor.graph import Graph
+from oddcolor.graph import Graph, bridges_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import (  # noqa: E402
@@ -137,11 +137,14 @@ def _sha(text: str) -> str:
 
 
 def _generator_cases(n: int) -> dict:
-    return {
-        f"s{seed}-cap{cap}": _sha(drawing_to_json(random_one_planar(n, seed, crossings=cap)))
-        for seed in GENERATOR_SEEDS
-        for cap in (0, None, n)
-    }
+    """Digests of the drawings of size n, each validated: the generator does not check its output."""
+    out = {}
+    for seed in GENERATOR_SEEDS:
+        for cap in (0, None, n):
+            d = random_one_planar(n, seed, crossings=cap)
+            d.validate()
+            out[f"s{seed}-cap{cap}"] = _sha(drawing_to_json(d))
+    return out
 
 
 def compute_generators() -> dict:
@@ -270,6 +273,29 @@ def test_golden_set_covers_the_colorer_branches():
     lib = [color_by_reduction(make(), k=k, exact_limit=limit).trace for make, k, limit in LIBRARY.values()]
     for needle in ("extension failed", "greedy with repair", "greedy repair failed", "lemma4"):
         assert any(needle in line for t in lib for line in t), needle
+
+
+def test_peel_bridges_stay_exact(monkeypatch):
+    """After every cut on the golden runs, the colorer's bridge set is unknown or exact."""
+    checks = 0
+
+    def checked(cut):
+        def wrapper(peel, *args):
+            nonlocal checks
+            out = cut(peel, *args)
+            assert peel.bridges is None or peel.bridges == bridges_of(peel.adj)
+            checks += 1
+            return out
+
+        return wrapper
+
+    for name in ("cut_vertex", "cut_edge"):
+        monkeypatch.setattr(_Peel, name, checked(getattr(_Peel, name)))
+    for make in _drawings().values():
+        color_by_reduction(make(), k=13)
+    for make, k, limit in LIBRARY.values():
+        color_by_reduction(make(), k=k, exact_limit=limit)
+    assert checks > 1000
 
 
 if __name__ == "__main__":
