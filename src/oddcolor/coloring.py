@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Iterable, Iterator
 
-from .graph import Edge, Graph, bridges_of, reach
+from .graph import Edge, Graph, bridges_of, canonical_int, reach
 from .embedding import OnePlanarDrawing, _rebuild_subdrawing, build_associated_plane_graph
 from .structure import PALETTE, breaks_lemma4, easy_vertices, is_easy, is_low, sevens_of_778
 
@@ -24,7 +25,7 @@ class Coloring:
     @staticmethod
     def of(assign: dict[int, int], k: int | None = None) -> "Coloring":
         not_int = [v for v, c in assign.items() if type(c) is not int]
-        if not_int:  # verification reads a color as a bit position
+        if not_int:  # colors are integers: 2.0 and True would alias 2 and 1
             raise ValueError(f"colors must be integers at vertices {not_int}")
         if k is None:
             k = max(assign.values(), default=1)
@@ -46,17 +47,19 @@ class OddReport:
 
 
 def verify_odd_coloring(g: Graph, c: Coloring) -> OddReport:
-    """Violations of c on g; oddness is read from each vertex's color-parity bitmask."""
+    """Violations of c on g; oddness is read from parity bitmasks over the colors' ranks."""
+    index = {a: 1 << i for i, a in enumerate(sorted(set(c.assign.values())))}
+    bit = {v: index[a] for v, a in c.assign.items()}.get
     get = c.assign.get
     proper = frozenset(e for e in g.edges if (a := get(e[0])) is not None and a == get(e[1]))
     odd_bad = set()
     for v, nbrs in enumerate(g.adj):
         mask = 0
         for u in nbrs:
-            a = get(u)
-            if a is None:
+            b = bit(u)
+            if b is None:
                 break  # cannot judge oddness; reported via uncolored
-            mask ^= 1 << a
+            mask ^= b
         else:
             if nbrs and not mask:  # isolated vertices are exempt
                 odd_bad.add(v)
@@ -75,8 +78,8 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
     """Complete backtracking search for an odd k-coloring.
 
     Vertices are colored in descending-degree order.  A branch is pruned
-    as soon as some fully-surrounded vertex has no odd color: no later
-    assignment can change its neighborhood.
+    as soon as some fully-surrounded vertex has no odd color, that is when its
+    parity mask is 0: no later assignment can change its neighborhood.
     Colors are capped at one more than the number already in use, which
     cuts color-permutation symmetry.
 
@@ -90,6 +93,7 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
     n = g.n
     color = [0] * n
     uncolored_nbrs = [g.degree(v) for v in range(n)]
+    par = [0] * n
     adj = g.adj
     nodes = 0
 
@@ -106,9 +110,11 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
     def place(v: int, a: int) -> None:
         """Color v with a, or uncolor it when a is 0."""
         step = -1 if a else 1
+        flip = 1 << (a or color[v])
         color[v] = a
         for u in adj[v]:
             uncolored_nbrs[u] += step
+            par[u] ^= flip
 
     stack = [frame(0, 0)] if searched else []
     found = not searched
@@ -127,7 +133,7 @@ def find_odd_coloring(g: Graph, k: int, max_nodes: int | None = None) -> Colorin
             )
         place(v, a)
         # a neighbor whose neighbors are all colored must have an odd color now
-        if all(_odd_mask(adj, color, u) for u in adj[v] if uncolored_nbrs[u] == 0):
+        if all(par[u] for u in adj[v] if uncolored_nbrs[u] == 0):
             if len(stack) == searched:
                 found = True
             else:
@@ -169,92 +175,88 @@ def extend_at_vertex(g: Graph, c: Coloring, v: int, k: int) -> Coloring | None:
     one color, each other neighbor two; if v then lacks an odd color, a
     single low-degree vertex near v is recolored to repair parity.
     c has to be odd on g - v: this is ``_extend``, the kernel the reduction
-    colorer runs at every level, and its local checks assume it.  The
+    colorer runs at every level, and its local parity checks assume it.  The
     result is verified once; None means it is not odd on g, or that no
     sanctioned combination works (reported, not fatal).
     """
     if any(u not in c.assign for u in g.neighbors(v)):
         raise ValueError(f"coloring does not cover N({v})")
-    base = dict(c.assign)
-    base.pop(v, None)
-    if any(x not in base for x in range(g.n) if x != v):
+    if any(x not in c.assign for x in range(g.n) if x != v):
         return None  # uncolored vertices fail verification whatever v gets
-    color = [base.get(x, 1) for x in range(g.n)]
-    if not _extend([set(a) for a in g.adj], color, v, k):
+    peel = _Peel(g)
+    peel.paint(c.assign.get(x, 1) for x in range(g.n))
+    if not _extend(peel, v, k):
         return None
-    out = Coloring.of(dict(enumerate(color)), k=k)
+    out = Coloring.of(dict(enumerate(peel.color)), k=k)
     return out if verify_odd_coloring(g, out).valid else None
 
 
 # ---------------------------------------------------------------------------
-# local checks and kernels of the reduction colorer
+# kernels of the reduction colorer
 #
-# They work on a mutable adjacency (one neighbor set per vertex) and a color
-# list indexed by vertex.  Recoloring t, or adding or removing edges at t,
-# can break only the properness of the edges at t, the parity at t and the
-# parities at the neighbors of t.  So when a coloring was odd before such a
-# change, checking those constraints decides whether it is odd after it.
+# They work on a ``_Peel``, whose parity masks stay exact through every change.
+# Recoloring t, or adding or removing edges at t, can break only the
+# properness of the edges at t, the parity at t and the parities at the
+# neighbors of t.  So when a coloring was odd before such a change, checking
+# those constraints decides whether it is odd after it.  Colors above
+# ``peel.top`` are on no vertex and act alike, so only the least is tried.
 
 
-def _odd_mask(adj: list[set[int]], color: list[int], x: int, skip: int = -1) -> int:
-    """Bit c is set iff color c appears an odd number of times on N(x) - skip."""
-    mask = 0
-    for y in adj[x]:
-        if y != skip:
-            mask ^= 1 << color[y]
-    return mask
+def _colors(k: int, top: int, skip: int = 0) -> Iterator[int]:
+    """Colors 1..min(k, top + 1) whose bits are clear in skip, ascending."""
+    for a in range(1, min(k, top + 1) + 1):
+        if not skip >> a & 1:
+            yield a
 
 
-def _valid_near(adj: list[set[int]], color: list[int], touched: Iterable[int]) -> bool:
-    """Whether every constraint a change at the touched vertices can break holds."""
-    for t in touched:
-        ct = color[t]
-        if any(color[y] == ct for y in adj[t]):
-            return False
-        if any(adj[x] and not _odd_mask(adj, color, x) for x in (t, *adj[t])):
-            return False
-    return True
+def _odd_around(adj: list[set[int]], par: list[int], t: int) -> bool:
+    """Whether t and each neighbor of t see some color an odd number of times."""
+    return par[t] != 0 and all(par[x] for x in adj[t])
 
 
-def _extend(adj: list[set[int]], color: list[int], v: int, k: int) -> bool:
-    """Color v, whose edges are in adj, given an odd k-coloring of the rest.
+def _extend(peel: _Peel, v: int, k: int) -> bool:
+    """Color v, whose edges are in peel, given an odd k-coloring of the rest.
 
     Colors no neighbor forbids go first: a neighbor w forbids the least
     color odd on N(w) - v, if there is one, unless w is easy and d(w) is
     not low (w's own color is never a candidate).  Easy and low use the
     thresholds of the 13-color theorem, whatever k is.  Each color is tried
-    alone, then with one recolored repair target at a time, until
-    ``_valid_near`` accepts the change at the touched vertices.  On success color is odd on the
-    whole graph; on failure it is left as it was.
+    alone, then with one recolored repair target r at a time; a change is
+    accepted when each recolored vertex stays proper and the parity masks
+    are non-zero at v, N(v), r and N(r).  On success the coloring is odd
+    on the whole graph; on failure it is left as it was.
     """
-    nbrs = sorted(adj[v])
-    forbidden: set[int] = set()
+    adj, color, par = peel.adj, peel.color, peel.par
+    nbrs = adj[v]
+    banned = forbidden = 0
     for w in nbrs:
-        odd = _odd_mask(adj, color, w, skip=v)
+        banned |= 1 << color[w]
+        odd = par[w] ^ 1 << color[v]
         dw = len(adj[w])
         if odd and (is_low(dw) or not is_easy(dw, (len(adj[u]) for u in adj[w]))):
-            forbidden.add((odd & -odd).bit_length() - 1)
-    banned = {color[w] for w in nbrs}
-    candidates = [a for a in range(1, k + 1) if a not in banned]
-    candidates.sort(key=lambda a: (a in forbidden, a))
-
+            forbidden |= odd & -odd
+    top = peel.top
     old_v = color[v]
     targets = None
-    for a in candidates:
-        color[v] = a
-        if _valid_near(adj, color, (v,)):
+    for a in chain(_colors(k, top, banned | forbidden), _colors(k, top, banned | ~forbidden)):
+        peel.recolor(v, a)
+        if not nbrs or _odd_around(adj, par, v):
+            peel.top = max(top, a)
             return True
         if targets is None:
-            targets = _repair_targets(adj, v, nbrs)
+            targets = _repair_targets(adj, v, sorted(nbrs))
         for r in targets:
             old = color[r]
-            for b in range(1, k + 1):
-                if b != old:
-                    color[r] = b
-                    if _valid_near(adj, color, (v, r)):
-                        return True
-            color[r] = old
-    color[v] = old_v
+            clash = 1 << old
+            for y in adj[r]:
+                clash |= 1 << color[y]
+            for b in _colors(k, max(top, a), clash):
+                peel.recolor(r, b)
+                if _odd_around(adj, par, v) and _odd_around(adj, par, r):
+                    peel.top = max(top, a, b)
+                    return True
+            peel.recolor(r, old)
+    peel.recolor(v, old_v)
     return False
 
 
@@ -277,35 +279,35 @@ def _swap_bits(mask: int, a: int, b: int) -> int:
     return mask
 
 
-def _bridge_colors(
-    adj: list[set[int]], color: list[int], u: int, v: int, k: int
-) -> Iterator[tuple[int, int]]:
-    """Colors (a, b) for the ends of bridge uv, absent from adj, that work.
+def _bridge_colors(peel: _Peel, u: int, v: int, k: int) -> tuple[int, int] | None:
+    """The first colors (a, b) for the ends of bridge uv, absent from peel, that work.
 
     Exchanging a with u's color on u's side, and b with v's color on v's
     side, permutes the colors of each side, which keeps it odd.  Once the
     bridge is back, u sees its old odd colors, exchanged, plus b, and v
-    likewise; a != b keeps uv proper.  So only the parities at u and v
-    can fail, and the pairs are checked on them alone, in order.
+    likewise; a != b keeps uv proper.  So only the masks at u and v can fail.
     """
-    odd_u = _odd_mask(adj, color, u)
-    odd_v = _odd_mask(adj, color, v)
-    for a in range(1, k + 1):
-        seen_by_u = _swap_bits(odd_u, a, color[u])
-        for b in range(1, k + 1):
-            if b != a and seen_by_u != 1 << b and _swap_bits(odd_v, b, color[v]) != 1 << a:
-                yield a, b
+    color, par, top = peel.color, peel.par, peel.top
+    for a in _colors(k, top):
+        seen_by_u = _swap_bits(par[u], a, color[u])
+        for b in _colors(k, max(top, a), 1 << a):
+            if seen_by_u != 1 << b and _swap_bits(par[v], b, color[v]) != 1 << a:
+                return a, b
+    return None
 
 
-def _exchange(adj: list[set[int]], color: list[int], s: int, a: int) -> None:
+def _exchange(peel: _Peel, s: int, a: int) -> None:
     """Exchange color a with the color of s on the component of s."""
+    color, par = peel.color, peel.par
     c = color[s]
     if a != c:
-        for x in reach(adj, s):
+        for x in reach(peel.adj, s):
+            par[x] = _swap_bits(par[x], a, c)  # N(x) is in the component too
             if color[x] == a:
                 color[x] = c
             elif color[x] == c:
                 color[x] = a
+        peel.top = max(peel.top, a)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +325,36 @@ class ReductionResult:
 
 
 class _Peel:
-    """The graph of the colorer's current level, changed in place.
+    """The graph of the colorer's current level and its coloring, changed in place.
 
-    Holds neighbor sets, the number of non-isolated vertices, a heap of
-    (degree, vertex) with stale entries skipped lazily, and the bridges
-    (None until computed for the current graph).
+    Holds neighbor sets, the colors, their bound ``top`` and parity masks
+    ``par`` (bit c set iff color c is odd on a vertex's current neighbors),
+    the number of non-isolated vertices, a heap of (degree, vertex) with
+    stale entries skipped lazily, and the bridges (None until computed).
     """
 
     def __init__(self, g: Graph) -> None:
         self.adj = [set(a) for a in g.adj]
+        self.color = [0] * g.n
+        self.par = [len(a) & 1 for a in self.adj]  # bit 0: color 0 on every neighbor
+        self.paint([1] * g.n)
         self.active = sum(1 for a in self.adj if a)
         self.bridges: set[Edge] | None = None
         self.reheap()
+
+    def paint(self, colors: Iterable[int]) -> None:
+        """Color every vertex anew."""
+        for x, c in enumerate(colors):
+            self.recolor(x, c)
+        self.top = max(self.color, default=0)
+
+    def recolor(self, x: int, c: int) -> None:
+        """Give x color c; the caller keeps ``top`` a bound."""
+        flip = (1 << self.color[x]) ^ (1 << c)
+        self.color[x] = c
+        par = self.par
+        for y in self.adj[x]:
+            par[y] ^= flip
 
     def reheap(self) -> None:
         self.heap = [(len(a), v) for v, a in enumerate(self.adj) if a]
@@ -354,6 +374,7 @@ class _Peel:
     def _drop(self, x: int, y: int) -> None:
         ax = self.adj[x]
         ax.discard(y)
+        self.par[x] ^= 1 << self.color[y]
         if ax:
             heapq.heappush(self.heap, (len(ax), x))
         else:
@@ -363,6 +384,7 @@ class _Peel:
         if not self.adj[x]:
             self.active += 1
         self.adj[x].add(y)
+        self.par[x] ^= 1 << self.color[y]
 
     def cut_vertex(self, v: int) -> set[int]:
         """Remove the edges at v and return its former neighbors.
@@ -375,6 +397,7 @@ class _Peel:
         """
         nbrs = self.adj[v]
         self.adj[v] = set()
+        self.par[v] = 0
         self.active -= 1
         for w in nbrs:
             self._drop(w, v)
@@ -387,6 +410,7 @@ class _Peel:
         self.adj[v] = nbrs
         for w in nbrs:
             self._add(w, v)
+            self.par[v] ^= 1 << self.color[w]
 
     def cut_edge(self, u: int, v: int) -> None:
         """Remove bridge uv; the other bridges stay bridges, and no new ones appear."""
@@ -405,6 +429,8 @@ class _Peel:
 
 def _spans_bridgeless(adj: list[set[int]], vertices: set[int]) -> bool:
     """Whether the subgraph induced on ``vertices`` is connected and bridgeless."""
+    if len(vertices) <= 5:  # a bridge or a second component needs three vertices per side
+        return len(vertices) == 1 or all(len(adj[x] & vertices) >= 2 for x in vertices)
     order = list(vertices)
     index = {x: i for i, x in enumerate(order)}
     local = [[index[y] for y in adj[x] if y in index] for x in order]
@@ -458,7 +484,6 @@ def color_by_reduction(
         raise ValueError("k must be >= 1")
     g = d.base
     peel = _Peel(g)
-    color = [1] * g.n
     trace: list[str] = []
     # frames: ("bridge", u, v) or ("vertex", v, former neighbors, detector hits or None, index)
     stack: list[tuple] = []
@@ -473,7 +498,7 @@ def color_by_reduction(
         if assign is None:
             trace.append("greedy repair failed")
             return False
-        color[:] = [assign[x] for x in range(g.n)]
+        peel.paint(assign[x] for x in range(g.n))
         return True
 
     def descend() -> bool:
@@ -485,7 +510,7 @@ def color_by_reduction(
                 if c is None:
                     trace.append(f"no odd {k}-coloring exists on the remainder")
                     return False
-                color[:] = [c.assign[x] for x in range(g.n)]
+                peel.paint(c.assign[x] for x in range(g.n))
                 return True
             if peel.bridges is None:
                 peel.bridges = bridges_of(peel.adj)
@@ -509,18 +534,18 @@ def color_by_reduction(
         frame = stack.pop()
         if frame[0] == "bridge":
             _, u, v = frame
-            ab = next(_bridge_colors(peel.adj, color, u, v, k), None)
+            ab = _bridge_colors(peel, u, v, k)
             if ab is None:
                 trace.append(f"bridge merge failed at ({u}, {v})")
                 ok = False
                 break
-            _exchange(peel.adj, color, u, ab[0])
-            _exchange(peel.adj, color, v, ab[1])
+            _exchange(peel, u, ab[0])
+            _exchange(peel, v, ab[1])
             peel.restore_edge(u, v)
             continue
         _, v, nbrs, hits, i = frame
         peel.restore_vertex(v, nbrs)
-        if _extend(peel.adj, color, v, k):
+        if _extend(peel, v, k):
             continue
         trace.append(f"extension failed at vertex {v}; trying next detector")
         if hits is None:
@@ -535,7 +560,7 @@ def color_by_reduction(
     if not ok:
         return ReductionResult(None, trace)
 
-    c = Coloring.of(dict(enumerate(color)), k=k)
+    c = Coloring.of(dict(enumerate(peel.color)), k=k)
     if not verify_odd_coloring(g, c).valid:
         trace.append("final verification failed")
         return ReductionResult(None, trace)
@@ -543,39 +568,31 @@ def color_by_reduction(
 
 
 def _greedy_with_repair(g: Graph, k: int) -> dict[int, int] | None:
+    def errors(rep: OddReport) -> int:
+        return len(rep.odd_violations) + len(rep.proper_violations)
+
     order = sorted((v for v in range(g.n) if g.adj[v]), key=g.degree, reverse=True)
     assign: dict[int, int] = {}
     for v in order:
         banned = {assign[u] for u in g.adj[v] if u in assign}
-        choices = [a for a in range(1, k + 1) if a not in banned]
-        if not choices:
+        assign[v] = next(a for a in count(1) if a not in banned)
+        if assign[v] > k:
             return None
-        assign[v] = choices[0]
     c = Coloring.of({**assign, **{v: 1 for v in range(g.n) if v not in assign}}, k=k)
     for _ in range(4 * g.n):
         rep = verify_odd_coloring(g, c)
         if rep.valid:
             return dict(c.assign)
         bad = min(rep.odd_violations | {u for e in rep.proper_violations for u in e})
-        fixed = False
-        for r in (bad, *g.adj[bad]):
-            old = c.assign[r]
-            for b in range(1, k + 1):
-                if b == old:
-                    continue
-                trial = dict(c.assign)
-                trial[r] = b
-                c2 = Coloring.of(trial, k=k)
-                r2 = verify_odd_coloring(g, c2)
-                if len(r2.odd_violations) + len(r2.proper_violations) < len(
-                    rep.odd_violations
-                ) + len(rep.proper_violations):
-                    c = c2
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if not fixed:
+        top = min(k, max(c.assign.values()) + 1)  # higher colors act as top does
+        trials = (
+            Coloring.of({**c.assign, r: b}, k=k)
+            for r in (bad, *g.adj[bad])
+            for b in range(1, top + 1)
+            if b != c.assign[r]
+        )
+        c = next((t for t in trials if errors(verify_odd_coloring(g, t)) < errors(rep)), None)
+        if c is None:
             return None
     return None
 
@@ -594,7 +611,7 @@ def parse_coloring(text: str, g: Graph, k: int | None = None) -> Coloring:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<vertex> <color>'")
-        v, col = int(parts[0]), int(parts[1])
+        v, col = (canonical_int(t, f"line {lineno}: ") for t in parts)
         if not 0 <= v < g.n:
             raise ValueError(f"line {lineno}: vertex {v} out of range")
         if v in assign:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Edge, Graph, norm_edge
+from .graph import Edge, Graph, canonical_int, norm_edge
 
 
 @dataclass(frozen=True)
@@ -296,13 +296,6 @@ def _ints(value, what: str, size: int | None = None) -> list[int]:
     return value
 
 
-def _vertex_id(key: str) -> int:
-    """A rotation key as a vertex id, which it must spell as str() does."""
-    if key.removeprefix("-").isdecimal() and str(int(key)) == key:
-        return int(key)
-    raise ValueError(f"rotation key {key!r} is not a canonical vertex id")
-
-
 def drawing_from_json(text: str) -> OnePlanarDrawing:
     try:
         payload = json.loads(text)
@@ -339,7 +332,7 @@ def drawing_from_json(text: str) -> OnePlanarDrawing:
         raise ValueError("field 'rotation' must be an object")
     else:
         rotation = {
-            _vertex_id(v): tuple(_ints(order, f"rotation at {v}"))
+            canonical_int(v, "rotation key ", "vertex id"): tuple(_ints(order, f"rotation at {v}"))
             for v, order in rotation_raw.items()
         }
     d = OnePlanarDrawing(base=base, crossings=tuple(crossings), rotation=rotation)

@@ -130,6 +130,13 @@ def bridges_of(adj: Sequence[Collection[int]]) -> set[Edge]:
     return out
 
 
+def canonical_int(token: str, where: str, what: str = "integer") -> int:
+    """token as an integer, which it must spell as str() does; where and what name it otherwise."""
+    if token.removeprefix("-").isdecimal() and str(int(token)) == token:
+        return int(token)
+    raise ValueError(f"{where}{token!r} is not a canonical {what}")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -150,13 +157,13 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate problem line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'p <n> <m>'")
-            n, m = int(parts[1]), int(parts[2])
+            n, m = (canonical_int(t, f"line {lineno}: ") for t in parts[1:])
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'e <u> <v>'")
-            pairs.append((int(parts[1]), int(parts[2])))
+            pairs.append(tuple(canonical_int(t, f"line {lineno}: ") for t in parts[1:]))
         else:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:

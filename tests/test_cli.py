@@ -76,6 +76,18 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("token", ["x", "1_0", "+1", "\u0663", "01", "-0"])
+def test_text_parsers_require_canonical_integers(tmp_path, capsys, token):
+    """Edge lists and colorings take integers as str() writes them, and name the line."""
+    graph, coloring = tmp_path / "g.txt", tmp_path / "c.col"
+    graph.write_text(f"p 2 1\ne 0 {token}\n")
+    message = f"line 2: {token!r} is not a canonical integer\n"
+    assert run(capsys, "chi-odd", str(graph)) == (2, "", f"error: {graph}: {message}")
+    graph.write_text("p 2 1\ne 0 1\n")
+    coloring.write_text(f"0 1\n1 {token}\n")
+    assert run(capsys, "verify", str(graph), str(coloring)) == (2, "", f"error: {coloring}: {message}")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     absent = tmp_path / "absent.txt"
     code, _, err = run(capsys, "chi-odd", str(absent))

@@ -1,15 +1,18 @@
 import contextlib
+import functools
 import io
 import itertools
 import json
+import operator
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcolor import cli
-from oddcolor.graph import Graph
+from oddcolor.graph import Graph, bridges_of, reach
 from oddcolor.coloring import (
     Coloring,
     SearchBudgetExceeded,
@@ -20,11 +23,16 @@ from oddcolor.coloring import (
     format_coloring,
     parse_coloring,
     verify_odd_coloring,
+    _Peel,
     _bridge_colors,
     _exchange,
-    _valid_near,
+    _extend,
+    _odd_around,
+    _repair_targets,
+    _spans_bridgeless,
 )
 from oddcolor.embedding import drawing_to_json
+from oddcolor.structure import is_easy, is_low
 from oddcolor.generators import (
     complete_minus_edge,
     cycle,
@@ -294,9 +302,56 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edge_list(pairs, n=n)
 
 
+def _peel_of(g: Graph, colors) -> _Peel:
+    peel = _Peel(g)
+    peel.paint(colors)
+    return peel
+
+
+def _valid(g: Graph, color: list[int]) -> bool:
+    return verify_odd_coloring(g, Coloring.of(dict(enumerate(color)))).valid
+
+
+def _accepts(peel: _Peel, touched) -> bool:
+    """_extend's rule: each touched vertex is proper, and the masks at it and its neighbors are non-zero."""
+    adj, color = peel.adj, peel.color
+    return all(
+        all(color[y] != color[t] for y in adj[t]) and (not adj[t] or _odd_around(adj, peel.par, t))
+        for t in touched
+    )
+
+
+def _first_extension(g: Graph, color: list[int], v: int, k: int) -> list[int] | None:
+    """What _extend must make of color, by full verification of each trial in its order."""
+    def odd_off_v(w):
+        return functools.reduce(operator.xor, (1 << color[y] for y in g.adj[w] if y != v), 0)
+
+    forbidden = set()
+    for w in g.adj[v]:
+        odd, dw = odd_off_v(w), g.degree(w)
+        if odd and (is_low(dw) or not is_easy(dw, map(g.degree, g.adj[w]))):
+            forbidden.add((odd & -odd).bit_length() - 1)
+    banned = {color[w] for w in g.adj[v]}
+    targets = _repair_targets([set(a) for a in g.adj], v, list(g.adj[v]))
+    for a in sorted(set(range(1, k + 1)) - banned, key=lambda a: (a in forbidden, a)):
+        trial = [*color[:v], a, *color[v + 1:]]
+        if _valid(g, trial):
+            return trial
+        for r in targets:
+            for b in range(1, k + 1):
+                if b != color[r]:
+                    repaired = [*trial[:r], b, *trial[r + 1:]]
+                    if _valid(g, repaired):
+                        return repaired
+    return None
+
+
 def test_local_checks_agree_with_full_verification():
     """Re-adding a vertex, recoloring a repair target, and exchanging colors
-    across a bridge are judged locally exactly as verify_odd_coloring does."""
+    across a bridge are judged on the parity masks exactly as
+    verify_odd_coloring judges them, and the kernels pick what a search by
+    full verification in their order picks, with palettes wider than the
+    colors in use too."""
     rng = random.Random(7)
     extensions = bridges = 0
     for _ in range(60):
@@ -306,20 +361,23 @@ def test_local_checks_agree_with_full_verification():
         base = find_odd_coloring(_without_vertex(g, v), k)
         if base is None:
             continue
-        adj = [set(a) for a in g.adj]
         color = [base.assign[x] for x in range(n)]
+        peel = _peel_of(g, color)
         for a in range(1, k + 1):
-            color[v] = a
-            full = verify_odd_coloring(g, Coloring.of(dict(enumerate(color)), k=k))
-            assert _valid_near(adj, color, (v,)) == full.valid
+            peel.recolor(v, a)
+            assert _accepts(peel, (v,)) == _valid(g, peel.color)
             r = rng.choice([x for x in range(n) if x != v])
-            old = color[r]
+            old = peel.color[r]
             for b in range(1, k + 1):
-                color[r] = b
-                full = verify_odd_coloring(g, Coloring.of(dict(enumerate(color)), k=k))
-                assert _valid_near(adj, color, (v, r)) == full.valid
+                peel.recolor(r, b)
+                assert _accepts(peel, (v, r)) == _valid(g, peel.color)
                 extensions += 1
-            color[r] = old
+            peel.recolor(r, old)
+        for palette in (k, k + 3):
+            peel = _peel_of(g, color)
+            want = _first_extension(g, color, v, palette)
+            assert _extend(peel, v, palette) == (want is not None)
+            assert peel.color == (want or color)
 
         # two random sides joined by the bridge uv
         m = rng.randrange(2, 6)
@@ -331,19 +389,37 @@ def test_local_checks_agree_with_full_verification():
         split = find_odd_coloring(cut, k)
         if split is None:
             continue
-        adj = [set(a) for a in cut.adj]
         color = [split.assign[x] for x in range(n + m)]
-        valid_pairs = []
-        for a, b in itertools.permutations(range(1, k + 1), 2):
-            trial = list(color)
-            _exchange(adj, trial, u, a)
-            _exchange(adj, trial, w, b)
-            c = Coloring.of(dict(enumerate(trial)), k=k)
-            if verify_odd_coloring(joined, c).valid:
-                valid_pairs.append((a, b))
-            bridges += 1
-        assert list(_bridge_colors(adj, color, u, w, k)) == valid_pairs
+        for palette in (k, k + 3):
+            valid_pairs = []
+            for a, b in itertools.permutations(range(1, palette + 1), 2):
+                trial = _peel_of(cut, color)
+                _exchange(trial, u, a)
+                _exchange(trial, w, b)
+                assert trial.par == _peel_of(cut, trial.color).par
+                if _valid(joined, trial.color):
+                    valid_pairs.append((a, b))
+                bridges += 1
+            assert _bridge_colors(_peel_of(cut, color), u, w, palette) == next(iter(valid_pairs), None)
     assert extensions > 500 and bridges > 500
+
+
+def test_spans_bridgeless_agrees_with_tarjan_on_small_sets():
+    """Every graph on up to six vertices, inside a larger graph, agrees with a
+    connectivity walk plus bridges_of: the degree rule on at most five, and six
+    (two triangles joined by a bridge) where that rule would fail."""
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            local = [set() for _ in range(n)]
+            for i, (x, y) in enumerate(pairs):
+                if bits >> i & 1:
+                    local[x].add(y)
+                    local[y].add(x)
+            want = len(reach(local, 0)) == n and not bridges_of(local)
+            # ids 1..n, with vertex 0 outside the set joined to all of them
+            adj = [set(range(1, n + 1))] + [{0, *(y + 1 for y in a)} for a in local]
+            assert _spans_bridgeless(adj, set(range(1, n + 1))) == want, (n, bits)
 
 
 def test_reduction_colorer_needs_no_deep_stack(tmp_path):
@@ -395,12 +471,25 @@ def test_parse_coloring_errors():
         parse_coloring("0 1 2\n", g)
 
 
+def test_verify_memory_does_not_grow_with_color_values():
+    """Parity bits are indexed among the colors in use, not by color value."""
+    g = Graph.from_edge_list([(0, 1), (1, 2)])
+    c = Coloring.of({0: 1, 1: 10**9, 2: 2})
+    tracemalloc.start()
+    try:
+        rep = verify_odd_coloring(g, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.valid and peak < 10 * 2**20
+
+
 def test_coloring_of_rejects_out_of_range_colors():
     with pytest.raises(ValueError, match="out of range"):
         Coloring.of({0: 4}, k=3)
     with pytest.raises(ValueError, match="out of range"):
         Coloring.of({0: 1, 1: 0}, k=3)
-    for color in (2.0, 1.5, True):  # verification reads colors as bit positions
+    for color in (2.0, 1.5, True):  # colors are integers: 2.0 and True would alias 2 and 1
         with pytest.raises(ValueError, match=r"colors must be integers at vertices \[1\]"):
             Coloring.of({0: 1, 1: color}, k=3)
         with pytest.raises(ValueError, match="must be integers"):

@@ -38,12 +38,15 @@ import hashlib
 import io
 import json
 import sys
+import time
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import pytest
 
-from oddcolor import cli
-from oddcolor.coloring import _Peel, color_by_reduction
+from oddcolor import cli, coloring
+from oddcolor.coloring import _Peel, color_by_reduction, verify_odd_coloring
 from oddcolor.embedding import OnePlanarDrawing, drawing_to_json
 from oddcolor.generators import complete, random_one_planar
 from oddcolor.graph import Graph, bridges_of
@@ -291,6 +294,51 @@ def test_peel_bridges_stay_exact(monkeypatch):
 
     for name in ("cut_vertex", "cut_edge"):
         monkeypatch.setattr(_Peel, name, checked(getattr(_Peel, name)))
+    for make in _drawings().values():
+        color_by_reduction(make(), k=13)
+    for make, k, limit in LIBRARY.values():
+        color_by_reduction(make(), k=k, exact_limit=limit)
+    assert checks > 1000
+
+
+def test_reduce_color_time_does_not_grow_with_k():
+    """Colors above every one in use act alike, so a palette of a million costs
+    what the 13 colors of the theorem cost, on the golden n = 60 drawing."""
+    d = random_one_planar(60, seed=8)
+    best, results = {13: float("inf"), 10**6: float("inf")}, {}
+    for _ in range(3):
+        for k in best:
+            start = time.perf_counter()
+            results[k] = color_by_reduction(d, k=k)
+            best[k] = min(best[k], time.perf_counter() - start)
+    assert results[10**6].ok and verify_odd_coloring(d.base, results[10**6].coloring).valid
+    assert best[10**6] <= 3 * best[13]
+
+
+def test_peel_parity_stays_exact(monkeypatch):
+    """After every change to the colorer's graph or colors on the golden runs,
+    each parity mask equals a recount, and no color exceeds ``top``."""
+    checks = 0
+
+    def checked(change, bounded=True):
+        def wrapper(*args):
+            nonlocal checks
+            out = change(*args)
+            peel = args[0]
+            recount = [reduce(xor, (1 << peel.color[y] for y in a), 0) for a in peel.adj]
+            assert peel.par == recount
+            assert not bounded or max(peel.color) <= peel.top
+            checks += 1
+            return out
+
+        return wrapper
+
+    for name in ("cut_vertex", "restore_vertex", "cut_edge", "restore_edge", "paint"):
+        monkeypatch.setattr(_Peel, name, checked(getattr(_Peel, name)))
+    # _extend recolors past top while it tries colors, and sets top when it commits
+    monkeypatch.setattr(_Peel, "recolor", checked(_Peel.recolor, bounded=False))
+    for name in ("_exchange", "_extend"):
+        monkeypatch.setattr(coloring, name, checked(getattr(coloring, name)))
     for make in _drawings().values():
         color_by_reduction(make(), k=13)
     for make, k, limit in LIBRARY.values():
