@@ -21,6 +21,7 @@ from .embedding import (
 )
 from .coloring import (
     color_by_reduction,
+    coloring_json,
     exact_odd_chromatic_number,
     format_coloring,
     parse_coloring,
@@ -172,14 +173,7 @@ def cmd_reduce_color(args) -> int:
             sys.stdout.writelines(f"{line}\n" for line in res.trace)
         return 1
     if args.format == "json":
-        _emit_json(
-            {
-                "ok": True,
-                "k": res.coloring.k,
-                "colors_used": len(set(res.coloring.assign.values())),
-                "coloring": {str(v): c for v, c in sorted(res.coloring.assign.items())},
-            }
-        )
+        print(coloring_json(res.coloring))
     else:
         sys.stdout.write(format_coloring(res.coloring))
     return 0

@@ -13,7 +13,7 @@ from itertools import chain, count
 from typing import Iterable, Iterator
 
 from .graph import Edge, Graph, bridges_of, canonical_int, reach
-from .embedding import OnePlanarDrawing, _rebuild_subdrawing, build_associated_plane_graph
+from .embedding import OnePlanarDrawing, _json_block, _rebuild_subdrawing, build_associated_plane_graph
 from .structure import PALETTE, breaks_lemma4, easy_vertices, is_easy, is_low, sevens_of_778
 
 
@@ -335,9 +335,9 @@ class _Peel:
 
     def __init__(self, g: Graph) -> None:
         self.adj = [set(a) for a in g.adj]
-        self.color = [0] * g.n
-        self.par = [len(a) & 1 for a in self.adj]  # bit 0: color 0 on every neighbor
-        self.paint([1] * g.n)
+        self.color = [1] * g.n
+        self.top = min(g.n, 1)
+        self.par = [(len(a) & 1) << 1 for a in self.adj]  # bit 1: color 1 on every neighbor
         self.active = sum(1 for a in self.adj if a)
         self.bridges: set[Edge] | None = None
         self.reheap()
@@ -426,6 +426,12 @@ class _Peel:
         pairs = [(u, w) for u, a in enumerate(self.adj) for w in a if u < w]
         return Graph.from_edge_list(pairs, n=len(self.adj))
 
+    def active_graph(self) -> tuple[dict[int, int], Graph]:
+        """The non-isolated vertices renumbered 0, 1, ... in id order, and the graph they span."""
+        index = {x: i for i, x in enumerate(x for x, a in enumerate(self.adj) if a)}
+        pairs = [(i, index[y]) for x, i in index.items() for y in self.adj[x] if x < y]
+        return index, Graph.from_edge_list(pairs, n=len(index))
+
 
 def _spans_bridgeless(adj: list[set[int]], vertices: set[int]) -> bool:
     """Whether the subgraph induced on ``vertices`` is connected and bridgeless."""
@@ -506,11 +512,13 @@ def color_by_reduction(
         while True:
             if peel.active <= exact_limit:
                 trace.append(f"exact search on {peel.active} active vertices")
-                c = find_odd_coloring(peel.graph(), k)
+                index, sub = peel.active_graph()
+                c = find_odd_coloring(sub, k)
                 if c is None:
                     trace.append(f"no odd {k}-coloring exists on the remainder")
                     return False
-                peel.paint(c.assign[x] for x in range(g.n))
+                # the vertices left out take color 1, as the search gives isolated vertices
+                peel.paint(c.assign[index[x]] if x in index else 1 for x in range(g.n))
                 return True
             if peel.bridges is None:
                 peel.bridges = bridges_of(peel.adj)
@@ -622,3 +630,14 @@ def parse_coloring(text: str, g: Graph, k: int | None = None) -> Coloring:
 
 def format_coloring(c: Coloring) -> str:
     return "\n".join(f"{v} {col}" for v, col in sorted(c.assign.items())) + "\n"
+
+
+def coloring_json(c: Coloring) -> str:
+    """``reduce-color``'s JSON for c, byte for byte as ``json.dumps(..., sort_keys=True,
+    indent=2)`` prints it, written directly as ``drawing_to_json`` is."""
+    entries = sorted(zip(map(str, c.assign), c.assign.values()))
+    coloring = _json_block((f'"{v}": {a}' for v, a in entries), "  ", "{}")
+    return (
+        f'{{\n  "coloring": {coloring},\n  "colors_used": {len(set(c.assign.values()))},\n'
+        f'  "k": {c.k},\n  "ok": true\n}}'
+    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .graph import Edge, Graph, canonical_int, norm_edge
@@ -58,6 +59,9 @@ class OnePlanarDrawing:
         return origin
 
     def validate(self) -> None:
+        """Raise ValueError unless ``_accepts``; only then the checks below name the first fault."""
+        if self._accepts():
+            return
         n = self.base.n
         seen_edges: set[Edge] = set()
         for e1, e2 in self.crossings:
@@ -67,11 +71,8 @@ class OnePlanarDrawing:
                 if e in seen_edges:
                     raise ValueError(f"edge {e} crossed twice")
                 seen_edges.add(e)
-            ends = {e1[0], e1[1], e2[0], e2[1]}
-            if len(ends) != 4:
-                raise ValueError(
-                    f"crossing pair {e1} x {e2} shares an endpoint"
-                )
+            if len({*e1, *e2}) != 4:
+                raise ValueError(f"crossing pair {e1} x {e2} shares an endpoint")
         planar_edges = self.planarization().keys()
         nverts = n + len(self.crossings)
         for v, order in self.rotation.items():
@@ -82,20 +83,43 @@ class OnePlanarDrawing:
         darts = {(v, w) for v, order in self.rotation.items() for w in order}
         rot_edges = {(v, w) if v <= w else (w, v) for v, w in darts}
         if rot_edges != planar_edges:
-            missing = planar_edges - rot_edges
-            extra = rot_edges - planar_edges
             raise ValueError(
-                f"rotation does not cover the planarization exactly "
-                f"(missing={sorted(missing)}, extra={sorted(extra)})"
+                "rotation does not cover the planarization exactly (missing="
+                f"{sorted(planar_edges - rot_edges)}, extra={sorted(rot_edges - planar_edges)})"
             )
-        if len(darts) != 2 * len(planar_edges):  # some edge has one dart only
-            for u, v in planar_edges:
-                if (u, v) not in darts or (v, u) not in darts:
-                    raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
+        for u, v in planar_edges:
+            if (u, v) not in darts or (v, u) not in darts:
+                raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
         for z, (e1, e2) in enumerate(self.crossings, start=n):
             order = self.rotation[z]
             if {order[0], order[2]} not in ({*e1}, {*e2}):
                 raise ValueError(f"rotation at crossing vertex {z} does not alternate {e1} and {e2}")
+
+    def _accepts(self) -> bool:
+        """Whether the drawing is valid, in one pass over G*'s neighbor sets.
+
+        Each crossing pairs two base edges with four distinct ends, no edge
+        is crossed twice, every rotation key is a vertex of G*, the rotation
+        at each vertex lists its G* neighbors once each, and each crossing
+        vertex's rotation alternates its two edges' ends.
+        """
+        n, crossings, rotation = self.base.n, self.crossings, self.rotation
+        crossed = {e for pair in crossings for e in pair}
+        if len(crossed) < 2 * len(crossings) or not self.base.edges >= crossed:
+            return False
+        nbrs = [*map(set, self.base.adj)]  # G*'s, once each crossed edge gives way to its star
+        for z, (e1, e2) in enumerate(crossings, start=n):
+            nbrs.append({*e1, *e2})
+            alternates = {*rotation.get(z, ())[:3:2]} in ({*e1}, {*e2})  # entries 0 and 2
+            if len(nbrs[z]) < 4 or not alternates:
+                return False
+            for u, v in (e1, e2):
+                nbrs[u] ^= {v, z}
+                nbrs[v] ^= {u, z}
+        if rotation and not 0 <= min(rotation) <= max(rotation) < len(nbrs):
+            return False
+        orders = map(rotation.get, range(len(nbrs)), repeat(()))
+        return all(len(o) == len(s) and not s.symmetric_difference(o) for s, o in zip(nbrs, orders))
 
     def without_vertex(self, v: int) -> "OnePlanarDrawing":
         """Drawing with every base edge at v removed (v becomes isolated)."""
@@ -283,13 +307,18 @@ def drawing_to_json(d: OnePlanarDrawing) -> str:
     )
 
 
+def _int_lists(values: list, size: int | None = None) -> bool:
+    """Whether each item of values is a JSON list of integers, of length size if given."""
+    return (
+        {*map(type, values)} <= {list}
+        and (size is None or {*map(len, values)} <= {size})
+        and {*map(type, chain.from_iterable(values))} <= {int}
+    )
+
+
 def _ints(value, what: str, size: int | None = None) -> list[int]:
     """value, checked to be a JSON list of integers, of length size if given."""
-    if (
-        not isinstance(value, list)
-        or {*map(type, value)} - {int}
-        or size not in (None, len(value))
-    ):
+    if not _int_lists([value], size):
         raise ValueError(
             f"{what} must be a list of {size or 'any number of'} integers, got {value!r}"
         )
@@ -301,6 +330,8 @@ def drawing_from_json(text: str) -> OnePlanarDrawing:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed drawing JSON: {exc}") from exc
+    except ValueError:  # an integer longer than int() reads
+        raise ValueError("malformed drawing JSON: an integer has too many digits") from None
     if not isinstance(payload, dict):
         raise ValueError("drawing JSON must be an object")
     for key in ("n", "edges"):
@@ -312,7 +343,10 @@ def drawing_from_json(text: str) -> OnePlanarDrawing:
     raw_edges = payload["edges"]
     if not isinstance(raw_edges, list):
         raise ValueError("field 'edges' must be a list")
-    edges = [norm_edge(*_ints(e, "edge", 2)) for e in raw_edges]
+    if _int_lists(raw_edges, 2):
+        edges = [(u, v) if u <= v else (v, u) for u, v in raw_edges]
+    else:  # item by item, to name the first bad edge
+        edges = [norm_edge(*_ints(e, "edge", 2)) for e in raw_edges]
     base = Graph.from_edge_list(edges, n=n)
     raw_crossings = payload.get("crossings", [])
     if not isinstance(raw_crossings, list):
@@ -331,8 +365,10 @@ def drawing_from_json(text: str) -> OnePlanarDrawing:
     elif not isinstance(rotation_raw, dict):
         raise ValueError("field 'rotation' must be an object")
     else:
+        typed = _int_lists([*rotation_raw.values()])  # if not, each order is checked after its key
         rotation = {
-            canonical_int(v, "rotation key ", "vertex id"): tuple(_ints(order, f"rotation at {v}"))
+            canonical_int(v, "rotation key ", "vertex id"):
+                tuple(order if typed else _ints(order, f"rotation at {v}"))
             for v, order in rotation_raw.items()
         }
     d = OnePlanarDrawing(base=base, crossings=tuple(crossings), rotation=rotation)

@@ -33,24 +33,28 @@ class Graph:
         """
         if n is not None and n < 0:
             raise ValueError(f"vertex count must be non-negative, got n={n}")
-        edges = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"loop edge not allowed: ({u}, {v})")
-            if u < 0 or v < 0:
-                raise ValueError(f"negative vertex id in edge ({u}, {v})")
-            edges.add((u, v) if u < v else (v, u))
-        top = max(map(max, edges), default=-1)
+        if iter(pairs) is pairs:  # a one-shot iterator; a bad pair is looked up again below
+            pairs = list(pairs)
+        edges = {(u, v) if u < v else (v, u) for u, v in pairs}
+        low, high = zip(*edges) if edges else ((), ())
+        if min(low, default=0) < 0 or any(u == v for u, v in edges):
+            for u, v in pairs:  # name the first bad pair
+                if u == v:
+                    raise ValueError(f"loop edge not allowed: ({u}, {v})")
+                if u < 0 or v < 0:
+                    raise ValueError(f"negative vertex id in edge ({u}, {v})")
+        top = max(high, default=-1)
         if n is None:
             n = top + 1
         elif top >= n:
             raise ValueError(f"edge endpoint {top} out of range for n={n}")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        adj = tuple(tuple(sorted(s)) for s in nbrs)
-        return Graph(n=n, edges=frozenset(edges), adj=adj)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for a in nbrs:
+            a.sort()
+        return Graph(n=n, edges=frozenset(edges), adj=tuple(map(tuple, nbrs)))
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -131,10 +135,16 @@ def bridges_of(adj: Sequence[Collection[int]]) -> set[Edge]:
 
 
 def canonical_int(token: str, where: str, what: str = "integer") -> int:
-    """token as an integer, which it must spell as str() does; where and what name it otherwise."""
-    if token.removeprefix("-").isdecimal() and str(int(token)) == token:
-        return int(token)
-    raise ValueError(f"{where}{token!r} is not a canonical {what}")
+    """token as an integer, which it must spell as str() does, in no more digits than int()
+    reads; where and what name it otherwise, and its first 20 characters show it."""
+    try:
+        if token.removeprefix("-").isdecimal() and str(value := int(token)) == token:
+            return value
+        fault = f"is not a canonical {what}"
+    except ValueError:  # more digits than int() reads
+        fault = f"is too long to be a canonical {what} ({len(token)} characters)"
+    shown = repr(token) if len(token) <= 20 else f"{token[:20]!r}..."
+    raise ValueError(f"{where}{shown} {fault}")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from oddcolor.graph import Graph
@@ -214,7 +216,16 @@ MALFORMED_DRAWINGS = {
     "rotation-key-plus": k4_with_rotation_key("+1"),
     "rotation-key-duplicate": _k4(**{"01": [3, 2, 0]}),
     "rotation-key-underscore": {"n": 11, "edges": [[0, 10]], "rotation": {"0": [10], "1_0": [0]}},
+    # json.dumps cannot write an integer this long, so the payload is the file's text
+    "edge-long-integer": '{"n": 2, "edges": [[0, %s]]}' % ("1" * 5000),
+    "rotation-key-long": _k4(**{"1" * 5000: []}),
+    "rotation-key-long-letters": _k4(**{"x" * 5000: []}),
 }
+
+
+def drawing_text(payload) -> str:
+    """The file text of a drawing payload: a str is the text itself."""
+    return payload if isinstance(payload, str) else json.dumps(payload)
 
 
 CORPUS_SIZE = 100

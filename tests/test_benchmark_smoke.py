@@ -1,0 +1,33 @@
+"""The benchmark's correctness gate runs with the tests.
+
+``perfbench/run.py --workload reduce --seconds 0.1`` makes the pinned
+seed-1 inputs, runs one pass of ``reduce-color`` over them and checks each
+coloring with its own checker.  The digest of that pass's output pins its
+bytes.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REDUCE_SHA256 = "64bbe6d6520a8102bd5375e6b2ec11c111a460089deaf3235accf3dbb07b7b2b"
+
+
+def test_reduce_benchmark_pass_is_correct():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "reduce", "--seconds", "0.1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    *report, summary = run.stdout.splitlines()
+    assert f"# reduce: output sha256 {REDUCE_SHA256}" in report
+    summary = json.loads(summary)
+    assert summary["correct"] is True
+    assert summary["failed"] == 0 and summary["attempted"] > 0

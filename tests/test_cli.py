@@ -10,7 +10,7 @@ from oddcolor.cli import main
 from oddcolor.embedding import drawing_to_json
 from oddcolor.graph import Graph, format_edge_list
 
-from conftest import MALFORMED_DRAWINGS, crossed_k4_drawing, k4_with_rotation_key
+from conftest import MALFORMED_DRAWINGS, crossed_k4_drawing, drawing_text, k4_with_rotation_key
 
 
 def run(capsys, *argv):
@@ -86,6 +86,35 @@ def test_text_parsers_require_canonical_integers(tmp_path, capsys, token):
     graph.write_text("p 2 1\ne 0 1\n")
     coloring.write_text(f"0 1\n1 {token}\n")
     assert run(capsys, "verify", str(graph), str(coloring)) == (2, "", f"error: {coloring}: {message}")
+
+
+def test_text_parsers_name_the_line_of_an_over_long_integer(tmp_path, capsys):
+    """A token with more digits than int() reads is refused by the parser, which
+    names its line and shows its first 20 characters."""
+    graph, coloring = tmp_path / "g.txt", tmp_path / "c.col"
+    token = "1" * 5000
+    graph.write_text(f"p 2 1\ne 0 {token}\n")
+    message = "line 2: '11111111111111111111'... is too long to be a canonical integer (5000 characters)\n"
+    assert run(capsys, "chi-odd", str(graph)) == (2, "", f"error: {graph}: {message}")
+    graph.write_text("p 2 1\ne 0 1\n")
+    coloring.write_text(f"0 1\n1 {token}\n")
+    assert run(capsys, "verify", str(graph), str(coloring)) == (2, "", f"error: {coloring}: {message}")
+    coloring.write_text(f"0 1\n1 {'x' * 5000}\n")
+    message = "line 2: 'xxxxxxxxxxxxxxxxxxxx'... is not a canonical integer\n"
+    assert run(capsys, "verify", str(graph), str(coloring)) == (2, "", f"error: {coloring}: {message}")
+
+
+@pytest.mark.parametrize("command", ["gstar", "reduce-color"])
+def test_drawing_over_long_integers_exit_2(tmp_path, capsys, command):
+    """An over-long JSON integer is malformed JSON; an over-long rotation key is
+    named by its first 20 characters.  No message advises an interpreter setting."""
+    drawing = tmp_path / "d.json"
+    drawing.write_text(drawing_text(MALFORMED_DRAWINGS["edge-long-integer"]))
+    message = "malformed drawing JSON: an integer has too many digits\n"
+    assert run(capsys, command, str(drawing)) == (2, "", f"error: {drawing}: {message}")
+    drawing.write_text(drawing_text(MALFORMED_DRAWINGS["rotation-key-long"]))
+    message = "rotation key '11111111111111111111'... is too long to be a canonical vertex id (5000 characters)\n"
+    assert run(capsys, command, str(drawing)) == (2, "", f"error: {drawing}: {message}")
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -166,7 +195,7 @@ def test_chi_odd_long_path_needs_no_recursion(tmp_path, capsys):
 @pytest.mark.parametrize("payload", MALFORMED_DRAWINGS.values())
 def test_gstar_rejects_malformed_drawing(tmp_path, capsys, payload):
     drawing = tmp_path / "d.json"
-    drawing.write_text(json.dumps(payload))
+    drawing.write_text(drawing_text(payload))
     code, _, err = run(capsys, "gstar", str(drawing))
     assert code == 2 and err.startswith("error:")
 

@@ -451,6 +451,16 @@ def test_reduction_colorer_on_c5():
     assert verify_odd_coloring(plane_c5_drawing().base, res.coloring).valid
 
 
+@pytest.mark.parametrize("exact_limit", [2, 20, 100])
+def test_reduction_colorer_gives_isolated_vertices_color_one(exact_limit):
+    """The exact search runs on the active vertices only; the others take color 1
+    from the leaf, as they did when it searched the whole graph."""
+    d = random_one_planar(60, seed=5).without_vertex(7).without_vertex(30)
+    res = color_by_reduction(d, k=13, exact_limit=exact_limit)
+    assert res.ok and res.coloring.assign[7] == res.coloring.assign[30] == 1
+
+
+
 # ---------------------------------------------------------------------------
 # text format
 

@@ -152,6 +152,123 @@ def test_validate_rejects_non_alternating_crossing_rotation():
         d.validate()
 
 
+def _validate_oracle(self: OnePlanarDrawing) -> None:
+    """``OnePlanarDrawing.validate`` as it was before its one-pass accept rule, verbatim."""
+    n = self.base.n
+    seen_edges: set = set()
+    for e1, e2 in self.crossings:
+        for e in (e1, e2):
+            if e not in self.base.edges:
+                raise ValueError(f"crossing refers to non-edge {e}")
+            if e in seen_edges:
+                raise ValueError(f"edge {e} crossed twice")
+            seen_edges.add(e)
+        ends = {e1[0], e1[1], e2[0], e2[1]}
+        if len(ends) != 4:
+            raise ValueError(
+                f"crossing pair {e1} x {e2} shares an endpoint"
+            )
+    planar_edges = self.planarization().keys()
+    nverts = n + len(self.crossings)
+    for v, order in self.rotation.items():
+        if not 0 <= v < nverts:
+            raise ValueError(f"rotation key {v} out of range")
+        if len(set(order)) != len(order):
+            raise ValueError(f"rotation at {v} repeats a neighbor")
+    darts = {(v, w) for v, order in self.rotation.items() for w in order}
+    rot_edges = {(v, w) if v <= w else (w, v) for v, w in darts}
+    if rot_edges != planar_edges:
+        missing = planar_edges - rot_edges
+        extra = rot_edges - planar_edges
+        raise ValueError(
+            f"rotation does not cover the planarization exactly "
+            f"(missing={sorted(missing)}, extra={sorted(extra)})"
+        )
+    if len(darts) != 2 * len(planar_edges):  # some edge has one dart only
+        for u, v in planar_edges:
+            if (u, v) not in darts or (v, u) not in darts:
+                raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
+    for z, (e1, e2) in enumerate(self.crossings, start=n):
+        order = self.rotation[z]
+        if {order[0], order[2]} not in ({*e1}, {*e2}):
+            raise ValueError(f"rotation at crossing vertex {z} does not alternate {e1} and {e2}")
+
+
+def _mutate(d: OnePlanarDrawing, kind: str, rng: random.Random) -> OnePlanarDrawing:
+    """d with one fault of the given kind put in at random (or d, when it has no place for it)."""
+    rot = {v: list(order) for v, order in d.rotation.items()}
+    crossings = list(d.crossings)
+    full = [v for v, order in rot.items() if order]
+    nverts = d.base.n + len(crossings)
+    crossed = {e for pair in crossings for e in pair}
+    edges = sorted(d.base.edges)
+    if kind == "swap" and full:  # two entries of one rotation
+        order = rot[rng.choice(full)]
+        i, j = rng.randrange(len(order)), rng.randrange(len(order))
+        order[i], order[j] = order[j], order[i]
+    elif kind == "swap-across" and full:  # an entry of one rotation with one of another
+        a, b = rot[rng.choice(full)], rot[rng.choice(full)]
+        i, j = rng.randrange(len(a)), rng.randrange(len(b))
+        a[i], b[j] = b[j], a[i]
+    elif kind == "drop" and full:
+        order = rot[rng.choice(full)]
+        del order[rng.randrange(len(order))]
+    elif kind == "add":
+        rot.setdefault(rng.randrange(nverts + 1), []).append(rng.randrange(-1, nverts + 1))
+    elif kind == "duplicate" and full:
+        order = rot[rng.choice(full)]
+        order.insert(rng.randrange(len(order) + 1), rng.choice(order))
+    elif kind == "key-out-of-range" and rot:
+        rot[rng.choice([-1, nverts, nverts + 3])] = rot.pop(rng.choice(list(rot)))
+    elif kind == "unalternate" and crossings:
+        order = rot.get(d.base.n + rng.randrange(len(crossings)), [])
+        if len(order) == 4:
+            order[1], order[2] = order[2], order[1]
+    elif kind == "cross-twice" and crossed and len(edges) > 1:
+        crossings.append((rng.choice(sorted(crossed)), rng.choice(edges)))
+    elif kind == "share-endpoint":
+        pairs = [(e, f) for e in edges for f in edges if e < f and set(e) & set(f)]
+        if pairs:
+            crossings.insert(rng.randrange(len(crossings) + 1), rng.choice(pairs))
+    return OnePlanarDrawing(base=d.base, crossings=tuple(crossings), rotation={v: tuple(o) for v, o in rot.items()})
+
+
+MUTATIONS = [
+    "swap", "swap-across", "drop", "add", "duplicate", "key-out-of-range",
+    "unalternate", "cross-twice", "share-endpoint",
+]
+VALIDATE_FIXTURES = [
+    poor4_drawing, semipoor5_drawing, lambda: semipoor5_drawing(extra_leaf=True), special7_drawing,
+    crossed_k4_drawing, lambda: crossed_k4_drawing(star_rotation=(0, 2, 1, 3)), plane_c5_drawing,
+]
+
+
+def _verdict(check, d: OnePlanarDrawing) -> str | None:
+    try:
+        check(d)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(4, 30) | st.sampled_from(VALIDATE_FIXTURES),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(MUTATIONS), max_size=3),
+)
+def test_validate_agrees_with_its_former_checks(make, seed, mutations):
+    """The one-pass accept rule accepts exactly the drawings the former checks
+    accepted, and a rejection raises their message."""
+    d = random_one_planar(make, seed=seed) if isinstance(make, int) else make()
+    rng = random.Random(seed)
+    for kind in mutations:
+        d = _mutate(d, kind, rng)
+    expected = _verdict(_validate_oracle, d)
+    assert d._accepts() == (expected is None)
+    assert _verdict(OnePlanarDrawing.validate, d) == expected
+
+
 def test_trace_faces_requires_reverse_darts():
     with pytest.raises(ValueError, match="reverse"):
         trace_faces({0: (1,), 1: ()})

@@ -19,7 +19,9 @@ the drawing decoder's bulk type checks.  The rotation-key cases whose
 outputs changed since, because keys must be canonical vertex ids, were
 recorded again after that change: ``rotation-key-duplicate``,
 ``-empty``, ``-leading-zero``, ``-letter``, ``-plus``, ``-space`` and
-``-underscore``.
+``-underscore``.  The over-long integer cases (``edge-long-integer``,
+``rotation-key-long`` and ``rotation-key-long-letters``) were added when
+the parsers began to refuse such integers themselves.
 
 ``golden_generators.json`` was recorded before the generator kept its
 face list incrementally.  It pins the sha256 of ``drawing_to_json`` of
@@ -46,7 +48,7 @@ from pathlib import Path
 import pytest
 
 from oddcolor import cli, coloring
-from oddcolor.coloring import _Peel, color_by_reduction, verify_odd_coloring
+from oddcolor.coloring import Coloring, _Peel, color_by_reduction, coloring_json, verify_odd_coloring
 from oddcolor.embedding import OnePlanarDrawing, drawing_to_json
 from oddcolor.generators import complete, random_one_planar
 from oddcolor.graph import Graph, bridges_of
@@ -54,6 +56,7 @@ from oddcolor.graph import Graph, bridges_of
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import (  # noqa: E402
     MALFORMED_DRAWINGS,
+    drawing_text,
     plane_c5_drawing,
     poor4_drawing,
     semipoor5_drawing,
@@ -205,7 +208,7 @@ def compute_cli(tmp: Path) -> dict:
 
 def _malformed_case(payload, tmp: Path) -> dict:
     path = tmp / "drawing.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(drawing_text(payload))
     return _pinned_run("gstar", path)
 
 
@@ -316,8 +319,8 @@ def test_reduce_color_time_does_not_grow_with_k():
 
 
 def test_peel_parity_stays_exact(monkeypatch):
-    """After every change to the colorer's graph or colors on the golden runs,
-    each parity mask equals a recount, and no color exceeds ``top``."""
+    """From construction on, after every change to the colorer's graph or colors
+    on the golden runs, each parity mask equals a recount, and no color exceeds ``top``."""
     checks = 0
 
     def checked(change, bounded=True):
@@ -333,7 +336,7 @@ def test_peel_parity_stays_exact(monkeypatch):
 
         return wrapper
 
-    for name in ("cut_vertex", "restore_vertex", "cut_edge", "restore_edge", "paint"):
+    for name in ("__init__", "cut_vertex", "restore_vertex", "cut_edge", "restore_edge", "paint"):
         monkeypatch.setattr(_Peel, name, checked(getattr(_Peel, name)))
     # _extend recolors past top while it tries colors, and sets top when it commits
     monkeypatch.setattr(_Peel, "recolor", checked(_Peel.recolor, bounded=False))
@@ -344,6 +347,32 @@ def test_peel_parity_stays_exact(monkeypatch):
     for make, k, limit in LIBRARY.values():
         color_by_reduction(make(), k=k, exact_limit=limit)
     assert checks > 1000
+
+
+def _coloring_payload(c: Coloring) -> dict:
+    """reduce-color's success payload, as it was built before its JSON was written directly."""
+    return {
+        "ok": True,
+        "k": c.k,
+        "colors_used": len(set(c.assign.values())),
+        "coloring": {str(v): a for v, a in sorted(c.assign.items())},
+    }
+
+
+def test_coloring_json_matches_json_dumps(tmp_path):
+    """The directly written reduce-color JSON is json.dumps's, byte for byte: on
+    every golden drawing (keys "10" before "2"), on n = 0 and with colors >= 10."""
+    colorings = [color_by_reduction(make(), k=13).coloring for make in _drawings().values()]
+    colorings += [Coloring.of({}, k=13), Coloring.of({v: 12 - v % 12 for v in range(30)}, k=12)]
+    for c in colorings:
+        assert coloring_json(c) == json.dumps(_coloring_payload(c), sort_keys=True, indent=2)
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "edges": []}')
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["reduce-color", str(path), "--format", "json"]) == 0
+    empty = json.dumps(_coloring_payload(Coloring.of({}, k=13)), sort_keys=True, indent=2)
+    assert out.getvalue() == empty + "\n" and '"coloring": {}' in empty
 
 
 if __name__ == "__main__":

@@ -32,6 +32,11 @@ def test_from_edge_list_dedups_parallel_edges():
 def test_loops_rejected():
     with pytest.raises(ValueError):
         Graph.from_edge_list([(2, 2)])
+    # a one-shot iterator too, though the first bad pair is named by a second walk
+    with pytest.raises(ValueError, match=r"loop edge not allowed: \(2, 2\)"):
+        Graph.from_edge_list(iter([(0, 1), (2, 2), (-1, 3)]))
+    with pytest.raises(ValueError, match=r"negative vertex id in edge \(-1, 3\)"):
+        Graph.from_edge_list((e for e in [(0, 1), (-1, 3), (2, 2)]))
 
 
 def test_explicit_n_allows_isolated_vertices():
