@@ -133,12 +133,10 @@ def apply_rules(apg: AssociatedPlaneGraph, vt: VertexTags, ft: FaceTags) -> Char
                 if v in vt.special_2:
                     transfers.append(Transfer(("f", i), ("v", v), share, "R4"))
 
-    mu = initial_charges(apg).mu
-    mu_star = dict(mu)
-    for t in transfers:
-        mu_star[t.source] -= t.amount
-        mu_star[t.target] += t.amount
-    return ChargeLedger(mu=mu, mu_star=mu_star, transfers=transfers)
+    ledger = initial_charges(apg)
+    ledger.transfers = transfers
+    ledger.mu_star = ledger.replay()
+    return ledger
 
 
 @dataclass
@@ -186,7 +184,7 @@ def audit(
     ledger = apply_rules(apg, vt, ft)
 
     comps = []
-    for verts, faces in apg.split_components():
+    for verts, faces in apg.components:
         elements = [("v", v) for v in verts] + [("f", i) for i in faces]
         comps.append(
             {

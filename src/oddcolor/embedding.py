@@ -34,12 +34,10 @@ class OnePlanarDrawing:
     crossings: tuple[tuple[Edge, Edge], ...]
     rotation: dict[int, tuple[int, ...]]
 
-    def star_id(self, crossing_index: int) -> int:
-        return self.base.n + crossing_index
-
-    def star_of_edge(self) -> dict[Edge, int]:
-        """The crossing vertex on each crossed base edge."""
-        return {e: self.star_id(i) for i, pair in enumerate(self.crossings) for e in pair}
+    def crossed_edge(self, z: int, u: int) -> Edge:
+        """The base edge at u through crossing vertex z."""
+        e1, e2 = self.crossings[z - self.base.n]
+        return e1 if u in e1 else e2
 
     def planarization(self) -> dict[Edge, Edge]:
         """Each edge of the planarization mapped to its base edge.
@@ -47,7 +45,7 @@ class OnePlanarDrawing:
         An uncrossed edge maps to itself; a crossed edge is split into the
         two half-edges from its ends to its crossing vertex.
         """
-        star = self.star_of_edge()
+        star = {e: z for z, pair in enumerate(self.crossings, start=self.base.n) for e in pair}
         origin: dict[Edge, Edge] = {}
         for e in self.base.edges:
             z = star.get(e)
@@ -60,7 +58,7 @@ class OnePlanarDrawing:
 
     def validate(self) -> None:
         """Raise ValueError unless ``_accepts``; only then the checks below name the first fault."""
-        if self._accepts():
+        if self._accepts:
             return
         n = self.base.n
         seen_edges: set[Edge] = set()
@@ -95,13 +93,15 @@ class OnePlanarDrawing:
             if {order[0], order[2]} not in ({*e1}, {*e2}):
                 raise ValueError(f"rotation at crossing vertex {z} does not alternate {e1} and {e2}")
 
+    @cached_property
     def _accepts(self) -> bool:
         """Whether the drawing is valid, in one pass over G*'s neighbor sets.
 
         Each crossing pairs two base edges with four distinct ends, no edge
         is crossed twice, every rotation key is a vertex of G*, the rotation
         at each vertex lists its G* neighbors once each, and each crossing
-        vertex's rotation alternates its two edges' ends.
+        vertex's rotation alternates its two edges' ends.  Kept once per
+        drawing, whose fields no code changes after construction.
         """
         n, crossings, rotation = self.base.n, self.crossings, self.rotation
         crossed = {e for pair in crossings for e in pair}
@@ -141,16 +141,16 @@ def _rebuild_subdrawing(d: OnePlanarDrawing, keep: set[Edge]) -> OnePlanarDrawin
     becomes uncrossed and its two half-edge darts are spliced back together.
     """
     n = d.base.n
-    origin = d.planarization()
     kept = [i for i, (e1, e2) in enumerate(d.crossings) if e1 in keep and e2 in keep]
-    new_star = {d.star_id(old): n + new for new, old in enumerate(kept)}
+    new_star = {n + old: n + new for new, old in enumerate(kept)}
     rotation: dict[int, tuple[int, ...]] = {}
     for v, order in d.rotation.items():
         if v >= n and v not in new_star:
             continue
         out = []
         for w in order:
-            e = origin[norm_edge(v, w)]
+            u, z = sorted((v, w))  # no two stars are adjacent, so z is the star if there is one
+            e = (u, z) if z < n else d.crossed_edge(z, u)
             if e not in keep:
                 continue
             if w < n:
@@ -200,7 +200,8 @@ class AssociatedPlaneGraph:
         """Indices of faces incident to v (with multiplicity)."""
         return self._face_incidence.get(v, ())
 
-    def split_components(self) -> list[tuple[list[int], list[int]]]:
+    @cached_property
+    def components(self) -> list[tuple[list[int], list[int]]]:
         """Sorted vertices and face indices of each component with an edge.
 
         Components come in order of their least vertex; a face belongs to
@@ -251,23 +252,20 @@ def build_associated_plane_graph(d: OnePlanarDrawing) -> AssociatedPlaneGraph:
     ends, so each star gets four base neighbors and every base vertex
     keeps its degree.
     """
-    d.validate()
-    gstar = Graph.from_edge_list(d.planarization(), n=d.base.n + len(d.crossings))
+    d.validate()  # so the rotation lists each vertex's G* neighbors
+    nbrs = [sorted(d.rotation.get(v, ())) for v in range(d.base.n + len(d.crossings))]
+    edges = frozenset((v, w) for v, ws in enumerate(nbrs) for w in ws if v < w)
+    gstar = Graph(n=len(nbrs), edges=edges, adj=tuple(map(tuple, nbrs)))
     apg = AssociatedPlaneGraph(drawing=d, gstar=gstar, faces=trace_faces(d.rotation))
-    _check_euler(apg)
-    return apg
-
-
-def _check_euler(apg: AssociatedPlaneGraph) -> None:
-    """V - E + F = 2 per connected component (isolated vertices skipped)."""
-    for verts, faces in apg.split_components():
+    for verts, faces in apg.components:  # V - E + F = 2 on each (isolated vertices skipped)
         nv, nf = len(verts), len(faces)
-        ne = sum(apg.gstar.degree(v) for v in verts) // 2
+        ne = sum(gstar.degree(v) for v in verts) // 2
         if nv - ne + nf != 2:
             raise ValueError(
                 f"rotation system is not planar on component "
                 f"{verts[:8]}...: V-E+F = {nv}-{ne}+{nf} != 2"
             )
+    return apg
 
 
 # ---------------------------------------------------------------------------

@@ -194,21 +194,18 @@ def _is_special_7(v: int, apg: AssociatedPlaneGraph) -> bool:
 
 def _far_end(apg: AssociatedPlaneGraph, z: int, u: int) -> int:
     """For star z adjacent to u: the far end of u's crossed edge through z."""
-    e1, e2 = apg.drawing.crossings[z - apg.drawing.base.n]
-    a, b = e1 if u in e1 else e2
+    a, b = apg.drawing.crossed_edge(z, u)
     return a + b - u
 
 
 def _poor4_witness(
     f: Face, apg: AssociatedPlaneGraph, easy: set[int]
 ) -> dict | None:
-    """Check the poor 4-face pattern (u, 4*, 2-vertex, 4*).
+    """Check the 4-face f for the poor pattern (u, 4*, 2-vertex, 4*).
 
     u and v are neighbors of stars, so true vertices; consecutive around a
     star, they lie on its two different crossed edges.
     """
-    if len(f) != 4:
-        return None
     for i in range(4):
         u, z1, v, z2 = f[i], f[(i + 1) % 4], f[(i + 2) % 4], f[(i + 3) % 4]
         if not (apg.is_star(z1) and apg.is_star(z2)):
@@ -225,9 +222,7 @@ def _poor4_witness(
 def _poor6_witness(
     f: Face, apg: AssociatedPlaneGraph, easy: set[int], special_2: set[int]
 ) -> dict | None:
-    """Check the poor 6-face pattern (u, 4*, 2, 4*, 2, 4*)."""
-    if len(f) != 6:
-        return None
+    """Check the 6-face f for the poor pattern (u, 4*, 2, 4*, 2, 4*)."""
     for i in range(6):
         u = f[i]
         z1, v, z2, w, z3 = (f[(i + j) % 6] for j in range(1, 6))
@@ -364,7 +359,7 @@ def detect_lemma_violations(apg: AssociatedPlaneGraph, colors: int = PALETTE) ->
         if dx % 2 == 1 and is_low(dx, colors):
             v["L2"].append({"vertex": x, "degree": dx})
 
-    for e in sorted(g.edges.difference(apg.drawing.star_of_edge())):
+    for e in sorted(g.edges & apg.gstar.edges):  # the uncrossed edges
         a, b = e
         if is_low(g.degree(a), colors) or is_low(g.degree(b), colors):
             v["L3"].append({"edge": list(e)})

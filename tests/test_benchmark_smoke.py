@@ -2,8 +2,9 @@
 
 ``perfbench/run.py --workload reduce --seconds 0.1`` makes the pinned
 seed-1 inputs, runs one pass of ``reduce-color`` over them and checks each
-coloring with its own checker.  The digest of that pass's output pins its
-bytes.
+coloring with its own checker; ``--workload audit`` does the same with
+``discharge`` and its audit checker.  The digest of each pass's output pins
+its bytes.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REDUCE_SHA256 = "64bbe6d6520a8102bd5375e6b2ec11c111a460089deaf3235accf3dbb07b7b2b"
+AUDIT_SHA256 = "e4cb2598303601e5664a769d01eeb70218d7a7d05acc3abfdc4c4972400e6efe"
 
 
-def test_reduce_benchmark_pass_is_correct():
+def _check_one_pass(workload: str, sha256: str) -> None:
     run = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "reduce", "--seconds", "0.1"],
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seconds", "0.1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -27,7 +29,15 @@ def test_reduce_benchmark_pass_is_correct():
     )
     assert run.returncode == 0, run.stderr
     *report, summary = run.stdout.splitlines()
-    assert f"# reduce: output sha256 {REDUCE_SHA256}" in report
+    assert f"# {workload}: output sha256 {sha256}" in report
     summary = json.loads(summary)
     assert summary["correct"] is True
     assert summary["failed"] == 0 and summary["attempted"] > 0
+
+
+def test_reduce_benchmark_pass_is_correct():
+    _check_one_pass("reduce", REDUCE_SHA256)
+
+
+def test_audit_benchmark_pass_is_correct():
+    _check_one_pass("audit", AUDIT_SHA256)

@@ -27,6 +27,7 @@ from conftest import (
     semipoor5_drawing,
     special7_drawing,
 )
+from test_golden import FIXTURES, RANDOM, two_component_drawing
 
 
 def test_c5_traces_two_pentagon_faces():
@@ -75,9 +76,60 @@ def test_origin_map_round_trip():
         else:
             assert e == base_edge
     # every crossed base edge is covered by exactly two half-edges
-    for e in d.star_of_edge():
+    for e in [e for pair in d.crossings for e in pair]:
         halves = [pe for pe, be in d.planarization().items() if be == e]
         assert len(halves) == 2
+
+
+def _check_gstar_and_crossed_edges(d: OnePlanarDrawing) -> None:
+    """G* is the graph of the planarization, and each half-edge's crossing
+    vertex names its base edge through ``crossed_edge``."""
+    reference = Graph.from_edge_list(d.planarization(), n=d.base.n + len(d.crossings))
+    assert build_associated_plane_graph(d).gstar == reference
+    for (u, z), e in d.planarization().items():
+        if z >= d.base.n:
+            assert d.crossed_edge(z, u) == e
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n, seed=seed: random_one_planar(n, seed=seed) for n, seed in RANDOM]
+    + [*FIXTURES.values(), two_component_drawing],
+    ids=[f"n{n}-s{seed}" for n, seed in RANDOM] + [*FIXTURES, "two-components"],
+)
+def test_gstar_is_the_planarization_on_golden_drawings(make):
+    _check_gstar_and_crossed_edges(make())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["zero", "default", "n"]),
+)
+def test_gstar_is_the_planarization_on_random_drawings(n, seed, cap):
+    crossings = {"zero": 0, "default": None, "n": n}[cap]
+    _check_gstar_and_crossed_edges(random_one_planar(n, seed=seed, crossings=crossings))
+
+
+def test_discharge_derives_gstar_once(tmp_path, monkeypatch):
+    """One op runs the accept rule once, though the decoder and G*'s builder
+    both validate, and walks G*'s components once for Euler and the audit."""
+    path = tmp_path / "drawing.json"
+    path.write_text(drawing_to_json(random_one_planar(40, seed=1)))
+    calls = {"accepts": 0, "components": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    accepts = OnePlanarDrawing.__dict__["_accepts"]  # a cached_property
+    monkeypatch.setattr(accepts, "func", counted("accepts", accepts.func))
+    monkeypatch.setattr(Graph, "components", counted("components", Graph.components))
+    assert main(["discharge", str(path)]) == 0
+    assert calls == {"accepts": 1, "components": 1}
 
 
 def test_no_adjacent_stars_and_star_degree(corpus_apgs):
@@ -265,7 +317,7 @@ def test_validate_agrees_with_its_former_checks(make, seed, mutations):
     for kind in mutations:
         d = _mutate(d, kind, rng)
     expected = _verdict(_validate_oracle, d)
-    assert d._accepts() == (expected is None)
+    assert d._accepts == (expected is None)
     assert _verdict(OnePlanarDrawing.validate, d) == expected
 
 
