@@ -39,23 +39,6 @@ class OnePlanarDrawing:
         e1, e2 = self.crossings[z - self.base.n]
         return e1 if u in e1 else e2
 
-    def planarization(self) -> dict[Edge, Edge]:
-        """Each edge of the planarization mapped to its base edge.
-
-        An uncrossed edge maps to itself; a crossed edge is split into the
-        two half-edges from its ends to its crossing vertex.
-        """
-        star = {e: z for z, pair in enumerate(self.crossings, start=self.base.n) for e in pair}
-        origin: dict[Edge, Edge] = {}
-        for e in self.base.edges:
-            z = star.get(e)
-            if z is None:
-                origin[e] = e
-            else:  # z > e[1] > e[0]
-                origin[e[0], z] = e
-                origin[e[1], z] = e
-        return origin
-
     def validate(self) -> None:
         """Raise ValueError unless ``_accepts``; only then the checks below name the first fault."""
         if self._accepts:
@@ -71,7 +54,9 @@ class OnePlanarDrawing:
                 seen_edges.add(e)
             if len({*e1, *e2}) != 4:
                 raise ValueError(f"crossing pair {e1} x {e2} shares an endpoint")
-        planar_edges = self.planarization().keys()
+        star = {e: z for z, pair in enumerate(self.crossings, start=n) for e in pair}
+        halves = ([(e[0], star[e]), (e[1], star[e])] if e in star else [e] for e in self.base.edges)
+        planar_edges = dict.fromkeys(chain.from_iterable(halves)).keys()  # G*'s edges, in base-edge order
         nverts = n + len(self.crossings)
         for v, order in self.rotation.items():
             if not 0 <= v < nverts:

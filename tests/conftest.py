@@ -142,6 +142,14 @@ def crossed_k4_drawing(star_rotation: tuple[int, ...] = (0, 1, 2, 3)) -> OnePlan
     return OnePlanarDrawing(base=g, crossings=(((0, 2), (1, 3)),), rotation=rot)
 
 
+def nonplanar_rotation_drawing() -> OnePlanarDrawing:
+    """random_one_planar(8, seed=3) with the first two entries of vertex 0's
+    rotation swapped: its crossings alternate, but V - E + F = 9 - 21 + 12."""
+    d = random_one_planar(8, seed=3)
+    first, second, *rest = d.rotation[0]
+    return OnePlanarDrawing(d.base, d.crossings, {**d.rotation, 0: (second, first, *rest)})
+
+
 def plane_c5_drawing() -> OnePlanarDrawing:
     g = Graph.from_edge_list([(i, (i + 1) % 5) for i in range(5)], n=5)
     rot = {i: ((i + 1) % 5, (i - 1) % 5) for i in range(5)}

@@ -4,7 +4,6 @@ The lines are written straight to the real stdout so they survive pytest's
 capture; run with plain ``pytest -v`` and they appear inline.
 """
 
-import itertools
 import random
 import sys
 import time
@@ -24,6 +23,8 @@ from oddcolor.generators import (
 )
 from oddcolor.structure import classify_faces, classify_vertices, detect_lemma_violations
 from oddcolor.discharging import apply_rules, audit
+
+from reference import chi_odd
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -80,29 +81,6 @@ def test_criterion_2_subdivided_k7():
     )
 
 
-def _oracle_chi(g: Graph, kmax: int) -> int | None:
-    def valid(assign):
-        for u, v in g.edges:
-            if assign[u] == assign[v]:
-                return False
-        for v in range(g.n):
-            if not g.adj[v]:
-                continue
-            counts = {}
-            for u in g.adj[v]:
-                counts[assign[u]] = counts.get(assign[u], 0) + 1
-            if not any(cnt % 2 for cnt in counts.values()):
-                return False
-        return True
-
-    for k in range(1, kmax + 1):
-        if any(
-            valid(a) for a in itertools.product(range(1, k + 1), repeat=g.n)
-        ):
-            return k
-    return None
-
-
 def test_criterion_3_oracle_equivalence():
     rng = random.Random(99)
     mismatches = 0
@@ -110,7 +88,7 @@ def test_criterion_3_oracle_equivalence():
         n = rng.randrange(1, 9)
         pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = Graph.from_edge_list(rng.sample(pool, rng.randrange(len(pool) + 1)), n=n)
-        if _oracle_chi(g, 5) != exact_odd_chromatic_number(g, 5)[0]:
+        if chi_odd(g, 5) != exact_odd_chromatic_number(g, 5)[0]:
             mismatches += 1
     _report(3, mismatches == 0, f"200 graphs, {mismatches} mismatches")
 

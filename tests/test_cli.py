@@ -10,7 +10,13 @@ from oddcolor.cli import main
 from oddcolor.embedding import drawing_to_json
 from oddcolor.graph import Graph, format_edge_list
 
-from conftest import MALFORMED_DRAWINGS, crossed_k4_drawing, drawing_text, k4_with_rotation_key
+from conftest import (
+    MALFORMED_DRAWINGS,
+    crossed_k4_drawing,
+    drawing_text,
+    k4_with_rotation_key,
+    nonplanar_rotation_drawing,
+)
 
 
 def run(capsys, *argv):
@@ -217,6 +223,16 @@ def test_non_alternating_crossing_rotation_exits_2(tmp_path, capsys, command):
     code, out, err = run(capsys, command, str(drawing))
     assert (code, out) == (2, "")
     assert "rotation at crossing vertex 4 does not alternate" in err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_reduce_color_rejects_a_nonplanar_rotation(tmp_path, capsys):
+    """gstar and discharge exit 2 on this drawing; the colorer never checks Euler's formula."""
+    drawing = tmp_path / "d.json"
+    drawing.write_text(drawing_to_json(nonplanar_rotation_drawing()))
+    code, out, err = run(capsys, "reduce-color", str(drawing))
+    assert (code, out) == (2, "")
+    assert "rotation system is not planar" in err
 
 
 def _assert_cannot_write(capsys, path, *argv):

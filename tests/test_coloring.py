@@ -41,6 +41,7 @@ from oddcolor.generators import (
 )
 
 from conftest import plane_c5_drawing
+from reference import chi_odd, is_odd_coloring, odd_colorings, violations
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +117,10 @@ def test_subdivided_k4_needs_exactly_four_colors():
     assert verify_odd_coloring(g, c).valid
 
 
-def _oracle_check(g: Graph, assign: tuple[int, ...]) -> bool:
-    """Definition-level validity check, independent of the verifier class."""
-    for u, v in g.edges:
-        if assign[u] == assign[v]:
-            return False
-    for v in range(g.n):
-        if not g.adj[v]:
-            continue
-        counts = {}
-        for u in g.adj[v]:
-            counts[assign[u]] = counts.get(assign[u], 0) + 1
-        if not any(cnt % 2 for cnt in counts.values()):
-            return False
-    return True
-
-
 def test_subdivided_k4_oracle():
     g = subdivided_complete(4)
     # no odd 3-coloring exists: exhaustive over all 3^10 assignments
-    assert not any(
-        _oracle_check(g, assign)
-        for assign in itertools.product((1, 2, 3), repeat=g.n)
-    )
+    assert next(odd_colorings(g, 3), None) is None
     # an explicit hand-built 4-coloring is valid
     hand = Coloring.of({0: 1, 1: 2, 2: 3, 3: 4, 4: 3, 5: 2, 6: 2, 7: 4, 8: 3, 9: 1}, k=4)
     assert verify_odd_coloring(g, hand).valid
@@ -205,22 +187,12 @@ def test_solver_agrees_with_brute_force(n, seed):
     pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
     g = Graph.from_edge_list(rng.sample(pool, rng.randrange(len(pool) + 1)), n=n)
     kmax = 5
-    oracle = next(
-        (
-            k
-            for k in range(1, kmax + 1)
-            if any(
-                _oracle_check(g, assign)
-                for assign in itertools.product(range(1, k + 1), repeat=g.n)
-            )
-        ),
-        None,
-    )
+    oracle = chi_odd(g, kmax)
     value, witness = exact_odd_chromatic_number(g, kmax)
     assert value == oracle
     if value is not None:  # the search returns its coloring unverified
         assignment = tuple(witness.assign[v] for v in range(n))
-        assert _oracle_check(g, assignment) and set(assignment) <= set(range(1, value + 1))
+        assert is_odd_coloring(g, assignment) and set(assignment) <= set(range(1, value + 1))
 
 
 @st.composite
@@ -239,20 +211,11 @@ def _graph_and_partial_coloring(draw):
 @given(_graph_and_partial_coloring())
 def test_verify_agrees_with_a_counting_oracle(case):
     g, c = case
-    color = c.assign
-    neighbors = {v: [u for e in g.edges for u in e if v in e and u != v] for v in range(g.n)}
-    proper = {(u, v) for u, v in g.edges if u in color and v in color and color[u] == color[v]}
-    odd = {
-        v
-        for v, nbrs in neighbors.items()
-        if nbrs
-        and all(u in color for u in nbrs)
-        and all(sum(color[u] == a for u in nbrs) % 2 == 0 for a in {color[u] for u in nbrs})
-    }
+    proper, odd, uncolored = violations(g, c.assign)
     rep = verify_odd_coloring(g, c)
     assert rep.proper_violations == proper
     assert rep.odd_violations == odd
-    assert rep.uncolored == {v for v in range(g.n) if v not in color}
+    assert rep.uncolored == uncolored
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +271,6 @@ def _peel_of(g: Graph, colors) -> _Peel:
     return peel
 
 
-def _valid(g: Graph, color: list[int]) -> bool:
-    return verify_odd_coloring(g, Coloring.of(dict(enumerate(color)))).valid
-
-
 def _accepts(peel: _Peel, touched) -> bool:
     """_extend's rule: each touched vertex is proper, and the masks at it and its neighbors are non-zero."""
     adj, color = peel.adj, peel.color
@@ -335,13 +294,13 @@ def _first_extension(g: Graph, color: list[int], v: int, k: int) -> list[int] | 
     targets = _repair_targets([set(a) for a in g.adj], v, list(g.adj[v]))
     for a in sorted(set(range(1, k + 1)) - banned, key=lambda a: (a in forbidden, a)):
         trial = [*color[:v], a, *color[v + 1:]]
-        if _valid(g, trial):
+        if is_odd_coloring(g, trial):
             return trial
         for r in targets:
             for b in range(1, k + 1):
                 if b != color[r]:
                     repaired = [*trial[:r], b, *trial[r + 1:]]
-                    if _valid(g, repaired):
+                    if is_odd_coloring(g, repaired):
                         return repaired
     return None
 
@@ -365,12 +324,12 @@ def test_local_checks_agree_with_full_verification():
         peel = _peel_of(g, color)
         for a in range(1, k + 1):
             peel.recolor(v, a)
-            assert _accepts(peel, (v,)) == _valid(g, peel.color)
+            assert _accepts(peel, (v,)) == is_odd_coloring(g, peel.color)
             r = rng.choice([x for x in range(n) if x != v])
             old = peel.color[r]
             for b in range(1, k + 1):
                 peel.recolor(r, b)
-                assert _accepts(peel, (v, r)) == _valid(g, peel.color)
+                assert _accepts(peel, (v, r)) == is_odd_coloring(g, peel.color)
                 extensions += 1
             peel.recolor(r, old)
         for palette in (k, k + 3):
@@ -397,7 +356,7 @@ def test_local_checks_agree_with_full_verification():
                 _exchange(trial, u, a)
                 _exchange(trial, w, b)
                 assert trial.par == _peel_of(cut, trial.color).par
-                if _valid(joined, trial.color):
+                if is_odd_coloring(joined, trial.color):
                     valid_pairs.append((a, b))
                 bridges += 1
             assert _bridge_colors(_peel_of(cut, color), u, w, palette) == next(iter(valid_pairs), None)

@@ -22,12 +22,14 @@ from oddcolor.structure import FaceClass, classify_faces, classify_vertices
 
 from conftest import (
     crossed_k4_drawing,
+    nonplanar_rotation_drawing,
     plane_c5_drawing,
     poor4_drawing,
     semipoor5_drawing,
     special7_drawing,
 )
-from test_golden import FIXTURES, RANDOM, two_component_drawing
+from reference import faces, former_validate, gstar_adjacency, is_valid_drawing, json_of_drawing, planarization
+from test_golden import CLI_EXTRA, FIXTURES, RANDOM, _drawings, two_component_drawing
 
 
 def test_c5_traces_two_pentagon_faces():
@@ -66,7 +68,7 @@ def test_crossed_k4_planarization():
 def test_origin_map_round_trip():
     d = poor4_drawing()
     apg = build_associated_plane_graph(d)
-    for e, base_edge in d.planarization().items():
+    for e, base_edge in planarization(d).items():
         assert base_edge in d.base.edges
         stars = [x for x in e if apg.is_star(x)]
         if stars:
@@ -77,16 +79,17 @@ def test_origin_map_round_trip():
             assert e == base_edge
     # every crossed base edge is covered by exactly two half-edges
     for e in [e for pair in d.crossings for e in pair]:
-        halves = [pe for pe, be in d.planarization().items() if be == e]
+        halves = [pe for pe, be in planarization(d).items() if be == e]
         assert len(halves) == 2
 
 
 def _check_gstar_and_crossed_edges(d: OnePlanarDrawing) -> None:
     """G* is the graph of the planarization, and each half-edge's crossing
     vertex names its base edge through ``crossed_edge``."""
-    reference = Graph.from_edge_list(d.planarization(), n=d.base.n + len(d.crossings))
-    assert build_associated_plane_graph(d).gstar == reference
-    for (u, z), e in d.planarization().items():
+    adj = gstar_adjacency(d)
+    gstar = build_associated_plane_graph(d).gstar
+    assert (gstar.n, gstar.edges, gstar.adj) == (len(adj), frozenset(planarization(d)), adj)
+    for (u, z), e in planarization(d).items():
         if z >= d.base.n:
             assert d.crossed_edge(z, u) == e
 
@@ -204,48 +207,6 @@ def test_validate_rejects_non_alternating_crossing_rotation():
         d.validate()
 
 
-def _validate_oracle(self: OnePlanarDrawing) -> None:
-    """``OnePlanarDrawing.validate`` as it was before its one-pass accept rule, verbatim."""
-    n = self.base.n
-    seen_edges: set = set()
-    for e1, e2 in self.crossings:
-        for e in (e1, e2):
-            if e not in self.base.edges:
-                raise ValueError(f"crossing refers to non-edge {e}")
-            if e in seen_edges:
-                raise ValueError(f"edge {e} crossed twice")
-            seen_edges.add(e)
-        ends = {e1[0], e1[1], e2[0], e2[1]}
-        if len(ends) != 4:
-            raise ValueError(
-                f"crossing pair {e1} x {e2} shares an endpoint"
-            )
-    planar_edges = self.planarization().keys()
-    nverts = n + len(self.crossings)
-    for v, order in self.rotation.items():
-        if not 0 <= v < nverts:
-            raise ValueError(f"rotation key {v} out of range")
-        if len(set(order)) != len(order):
-            raise ValueError(f"rotation at {v} repeats a neighbor")
-    darts = {(v, w) for v, order in self.rotation.items() for w in order}
-    rot_edges = {(v, w) if v <= w else (w, v) for v, w in darts}
-    if rot_edges != planar_edges:
-        missing = planar_edges - rot_edges
-        extra = rot_edges - planar_edges
-        raise ValueError(
-            f"rotation does not cover the planarization exactly "
-            f"(missing={sorted(missing)}, extra={sorted(extra)})"
-        )
-    if len(darts) != 2 * len(planar_edges):  # some edge has one dart only
-        for u, v in planar_edges:
-            if (u, v) not in darts or (v, u) not in darts:
-                raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
-    for z, (e1, e2) in enumerate(self.crossings, start=n):
-        order = self.rotation[z]
-        if {order[0], order[2]} not in ({*e1}, {*e2}):
-            raise ValueError(f"rotation at crossing vertex {z} does not alternate {e1} and {e2}")
-
-
 def _mutate(d: OnePlanarDrawing, kind: str, rng: random.Random) -> OnePlanarDrawing:
     """d with one fault of the given kind put in at random (or d, when it has no place for it)."""
     rot = {v: list(order) for v, order in d.rotation.items()}
@@ -316,9 +277,59 @@ def test_validate_agrees_with_its_former_checks(make, seed, mutations):
     rng = random.Random(seed)
     for kind in mutations:
         d = _mutate(d, kind, rng)
-    expected = _verdict(_validate_oracle, d)
+    expected = _verdict(former_validate, d)
     assert d._accepts == (expected is None)
     assert _verdict(OnePlanarDrawing.validate, d) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_validate_names_asymmetric_edges_in_base_edge_order(seed):
+    """With two darts dropped, two edges are asymmetric, and validate names
+    the one the former checks named first."""
+    d = random_one_planar(4, seed=seed)
+    rng = random.Random(seed)
+    for kind in ["drop", "drop"]:
+        d = _mutate(d, kind, rng)
+    expected = _verdict(former_validate, d)
+    assert "not symmetric" in expected
+    assert _verdict(OnePlanarDrawing.validate, d) == expected
+
+
+def _check_planarity(d: OnePlanarDrawing) -> None:
+    """The reference accepts d iff validate and G*'s builder do, and where the
+    former checks pass, trace_faces walks the reference's faces in order."""
+    assert is_valid_drawing(d) == (_verdict(build_associated_plane_graph, d) is None)
+    if _verdict(former_validate, d) is None:
+        assert list(trace_faces(d.rotation)) == faces(d.rotation)
+
+
+PLANARITY_DRAWINGS = {
+    **_drawings(),
+    **CLI_EXTRA,
+    "crossed-k4": crossed_k4_drawing,
+    "crossed-k4-unalternating": lambda: crossed_k4_drawing(star_rotation=(0, 2, 1, 3)),
+    "nonplanar-rotation": nonplanar_rotation_drawing,
+}
+
+
+@pytest.mark.parametrize("make", PLANARITY_DRAWINGS.values(), ids=list(PLANARITY_DRAWINGS))
+def test_planarity_agrees_with_the_reference_on_fixed_drawings(make):
+    _check_planarity(make())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(4, 30) | st.sampled_from(VALIDATE_FIXTURES),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(MUTATIONS), max_size=3),
+)
+def test_planarity_agrees_with_the_reference_on_mutated_drawings(make, seed, mutations):
+    """An in-rotation swap can break planarity alone."""
+    d = random_one_planar(make, seed=seed) if isinstance(make, int) else make()
+    rng = random.Random(seed)
+    for kind in mutations:
+        d = _mutate(d, kind, rng)
+    _check_planarity(d)
 
 
 def test_trace_faces_requires_reverse_darts():
@@ -372,19 +383,6 @@ def test_drawing_json_round_trip():
     assert drawing_to_json(d) == drawing_to_json(d2)
 
 
-def json_dumps_reference(d: OnePlanarDrawing) -> str:
-    """The drawing's text as json's own encoder writes it."""
-    edges = sorted(d.base.edges)
-    idx = {e: i for i, e in enumerate(edges)}
-    payload = {
-        "n": d.base.n,
-        "edges": [list(e) for e in edges],
-        "crossings": [[idx[e1], idx[e2]] for e1, e2 in d.crossings],
-        "rotation": {str(v): list(order) for v, order in sorted(d.rotation.items())},
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(4, 60),
@@ -394,7 +392,7 @@ def json_dumps_reference(d: OnePlanarDrawing) -> str:
 def test_drawing_to_json_equals_json_dumps_on_random_drawings(n, seed, cap):
     crossings = {"zero": 0, "default": None, "n": n}[cap]
     d = random_one_planar(n, seed=seed, crossings=crossings)
-    assert drawing_to_json(d) == json_dumps_reference(d)
+    assert drawing_to_json(d) == json_of_drawing(d)
 
 
 @pytest.mark.parametrize(
@@ -412,12 +410,12 @@ def test_drawing_to_json_equals_json_dumps_on_random_drawings(n, seed, cap):
 )
 def test_drawing_to_json_equals_json_dumps_on_hand_built_drawings(make):
     d = make()
-    assert drawing_to_json(d) == json_dumps_reference(d)
+    assert drawing_to_json(d) == json_of_drawing(d)
 
 
 def test_gen_prints_the_json_dumps_text(capsys):
     assert main(["gen", "random-one-planar", "30", "--seed", "7"]) == 0
-    assert capsys.readouterr().out == json_dumps_reference(random_one_planar(30, seed=7))
+    assert capsys.readouterr().out == json_of_drawing(random_one_planar(30, seed=7))
 
 
 def test_drawing_json_rotation_optional_without_crossings():

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from oddcolor import embedding
-from oddcolor.embedding import build_associated_plane_graph, trace_faces
+from oddcolor.embedding import build_associated_plane_graph
 from oddcolor.generators import (
     complete,
     complete_minus_edge,
@@ -13,6 +13,8 @@ from oddcolor.generators import (
     random_plane_triangulation,
     subdivided_complete,
 )
+
+from reference import faces as reference_faces
 
 
 def test_cycle_counts():
@@ -71,14 +73,14 @@ def test_random_one_planar_minimum_size():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 5, 9, 31])
 def test_triangulation_keeps_the_traced_face_list(seed):
-    """After every insertion the kept list is trace_faces's list, in order.
+    """After every insertion the kept list is the reference's face walks, in order.
 
     A triangulation on m vertices makes the first m - 3 insertions of any
     larger one drawn from the same seed, so each prefix is one step.
     """
     for m in range(3, 61):
         rotation, faces = random_plane_triangulation(m, random.Random(seed))
-        assert faces == list(trace_faces(rotation))
+        assert faces == reference_faces(rotation)
 
 
 def test_random_one_planar_traces_no_faces(monkeypatch):

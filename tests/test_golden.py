@@ -62,6 +62,7 @@ from conftest import (  # noqa: E402
     semipoor5_drawing,
     special7_drawing,
 )
+from reference import json_of_coloring  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden_reduce_color.json"
 GOLDEN_CLI = Path(__file__).resolve().parent / "golden_cli.json"
@@ -349,29 +350,19 @@ def test_peel_parity_stays_exact(monkeypatch):
     assert checks > 1000
 
 
-def _coloring_payload(c: Coloring) -> dict:
-    """reduce-color's success payload, as it was built before its JSON was written directly."""
-    return {
-        "ok": True,
-        "k": c.k,
-        "colors_used": len(set(c.assign.values())),
-        "coloring": {str(v): a for v, a in sorted(c.assign.items())},
-    }
-
-
 def test_coloring_json_matches_json_dumps(tmp_path):
     """The directly written reduce-color JSON is json.dumps's, byte for byte: on
     every golden drawing (keys "10" before "2"), on n = 0 and with colors >= 10."""
     colorings = [color_by_reduction(make(), k=13).coloring for make in _drawings().values()]
     colorings += [Coloring.of({}, k=13), Coloring.of({v: 12 - v % 12 for v in range(30)}, k=12)]
     for c in colorings:
-        assert coloring_json(c) == json.dumps(_coloring_payload(c), sort_keys=True, indent=2)
+        assert coloring_json(c) == json_of_coloring(c)
     path = tmp_path / "empty.json"
     path.write_text('{"n": 0, "edges": []}')
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["reduce-color", str(path), "--format", "json"]) == 0
-    empty = json.dumps(_coloring_payload(Coloring.of({}, k=13)), sort_keys=True, indent=2)
+    empty = json_of_coloring(Coloring.of({}, k=13))
     assert out.getvalue() == empty + "\n" and '"coloring": {}' in empty
 
 

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from oddcolor.graph import Graph, format_edge_list, norm_edge, parse_edge_list
 
+from reference import bridges
+
 
 def test_from_edge_list_basic():
     g = Graph.from_edge_list([(0, 1), (1, 2), (2, 0)])
@@ -53,15 +55,6 @@ def test_components():
     assert comps == [[0, 1], [2, 3], [4]]
 
 
-def _bridges_oracle(g: Graph) -> set:
-    """An edge is a bridge iff deleting it increases the component count."""
-    base = len(g.components())
-    return {
-        e for e in g.edges
-        if len(Graph.from_edge_list(g.edges - {e}, n=g.n).components()) > base
-    }
-
-
 def test_bridges_examples():
     path = Graph.from_edge_list([(0, 1), (1, 2), (2, 3)])
     assert path.bridges() == path.edges
@@ -78,7 +71,7 @@ def test_bridges_against_deletion_oracle():
         m = rng.randrange(0, n * (n - 1) // 2 + 1)
         pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = Graph.from_edge_list(rng.sample(pool, m), n=n)
-        assert g.bridges() == _bridges_oracle(g)
+        assert g.bridges() == bridges(g)
 
 
 def test_edge_list_round_trip():

@@ -1,4 +1,5 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used by the module that imports it, and the
+tests' reference model imports nothing of the package it checks.
 
 No linter ships with the project, so this parses the package and the
 tests with ``ast``.  A name listed in ``__all__`` counts as used.
@@ -42,3 +43,22 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = sorted((line, name) for name, line in _imported(tree).items() if name not in used)
     assert unused == [], f"{path.name}: unused imports (line, name): {unused}"
+
+
+def _runtime_imports(node: ast.AST) -> list[ast.stmt]:
+    """The imports under node, except those in an ``if TYPE_CHECKING:`` block."""
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+        return [i for n in node.orelse for i in _runtime_imports(n)]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [node]
+    return [i for child in ast.iter_child_nodes(node) for i in _runtime_imports(child)]
+
+
+def test_reference_imports_no_package_name_at_run_time():
+    path = ROOT / "tests" / "reference.py"
+    found = []
+    for node in _runtime_imports(ast.parse(path.read_text(), str(path))):
+        modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        if any(m.partition(".")[0] == "oddcolor" for m in modules):
+            found.append((node.lineno, ast.unparse(node)))
+    assert found == [], f"reference.py imports the package it checks: {found}"
