@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .graph import Edge, Graph, canonical_int, norm_edge
@@ -40,71 +40,66 @@ class OnePlanarDrawing:
         return e1 if u in e1 else e2
 
     def validate(self) -> None:
-        """Raise ValueError unless ``_accepts``; only then the checks below name the first fault."""
-        if self._accepts:
-            return
-        n = self.base.n
-        seen_edges: set[Edge] = set()
-        for e1, e2 in self.crossings:
-            for e in (e1, e2):
-                if e not in self.base.edges:
-                    raise ValueError(f"crossing refers to non-edge {e}")
-                if e in seen_edges:
-                    raise ValueError(f"edge {e} crossed twice")
-                seen_edges.add(e)
-            if len({*e1, *e2}) != 4:
-                raise ValueError(f"crossing pair {e1} x {e2} shares an endpoint")
-        star = {e: z for z, pair in enumerate(self.crossings, start=n) for e in pair}
-        halves = ([(e[0], star[e]), (e[1], star[e])] if e in star else [e] for e in self.base.edges)
-        planar_edges = dict.fromkeys(chain.from_iterable(halves)).keys()  # G*'s edges, in base-edge order
-        nverts = n + len(self.crossings)
-        for v, order in self.rotation.items():
-            if not 0 <= v < nverts:
-                raise ValueError(f"rotation key {v} out of range")
-            if len(set(order)) != len(order):
-                raise ValueError(f"rotation at {v} repeats a neighbor")
-        darts = {(v, w) for v, order in self.rotation.items() for w in order}
-        rot_edges = {(v, w) if v <= w else (w, v) for v, w in darts}
-        if rot_edges != planar_edges:
-            raise ValueError(
-                "rotation does not cover the planarization exactly (missing="
-                f"{sorted(planar_edges - rot_edges)}, extra={sorted(rot_edges - planar_edges)})"
-            )
-        for u, v in planar_edges:
-            if (u, v) not in darts or (v, u) not in darts:
-                raise ValueError(f"rotation is not symmetric on edge ({u}, {v})")
-        for z, (e1, e2) in enumerate(self.crossings, start=n):
-            order = self.rotation[z]
-            if {order[0], order[2]} not in ({*e1}, {*e2}):
-                raise ValueError(f"rotation at crossing vertex {z} does not alternate {e1} and {e2}")
+        """Raise ValueError naming the drawing's first fault, if it has one."""
+        if self._fault is not None:
+            raise ValueError(self._fault)
 
     @cached_property
-    def _accepts(self) -> bool:
-        """Whether the drawing is valid, in one pass over G*'s neighbor sets.
+    def _fault(self) -> str | None:
+        """The first fault of the drawing, or None if it is valid.
 
-        Each crossing pairs two base edges with four distinct ends, no edge
-        is crossed twice, every rotation key is a vertex of G*, the rotation
-        at each vertex lists its G* neighbors once each, and each crossing
-        vertex's rotation alternates its two edges' ends.  Kept once per
-        drawing, whose fields no code changes after construction.
+        In order: each crossing pairs two base edges, none crossed twice,
+        with four distinct ends; every rotation key is a vertex of G* and
+        repeats no neighbor; the rotation lists each vertex's G* neighbors,
+        from both ends of every edge; and each crossing vertex's rotation
+        alternates its two edges' ends.  Kept once per drawing, whose fields
+        no code changes after construction.
         """
         n, crossings, rotation = self.base.n, self.crossings, self.rotation
-        crossed = {e for pair in crossings for e in pair}
-        if len(crossed) < 2 * len(crossings) or not self.base.edges >= crossed:
-            return False
+        crossed: set[Edge] = set()
+        for e1, e2 in crossings:
+            for e in (e1, e2):
+                if e not in self.base.edges:
+                    return f"crossing refers to non-edge {e}"
+                if e in crossed:
+                    return f"edge {e} crossed twice"
+                crossed.add(e)
+            if len({*e1, *e2}) != 4:
+                return f"crossing pair {e1} x {e2} shares an endpoint"
         nbrs = [*map(set, self.base.adj)]  # G*'s, once each crossed edge gives way to its star
         for z, (e1, e2) in enumerate(crossings, start=n):
             nbrs.append({*e1, *e2})
-            alternates = {*rotation.get(z, ())[:3:2]} in ({*e1}, {*e2})  # entries 0 and 2
-            if len(nbrs[z]) < 4 or not alternates:
-                return False
             for u, v in (e1, e2):
                 nbrs[u] ^= {v, z}
                 nbrs[v] ^= {u, z}
-        if rotation and not 0 <= min(rotation) <= max(rotation) < len(nbrs):
-            return False
-        orders = map(rotation.get, range(len(nbrs)), repeat(()))
-        return all(len(o) == len(s) and not s.symmetric_difference(o) for s, o in zip(nbrs, orders))
+        exact = True  # each key lists exactly its G* neighbors
+        for v, order in rotation.items():
+            if not 0 <= v < len(nbrs):
+                return f"rotation key {v} out of range"
+            entries = set(order)
+            if len(entries) != len(order):
+                return f"rotation at {v} repeats a neighbor"
+            exact = exact and entries == nbrs[v]
+        # With every key exact, equal dart totals mean no vertex of G* lacks a key.
+        if not exact or sum(map(len, rotation.values())) != sum(map(len, nbrs)):
+            star = {e: z for z, pair in enumerate(crossings, start=n) for e in pair}
+            halves = ([(e[0], star[e]), (e[1], star[e])] if e in star else [e] for e in self.base.edges)
+            planar_edges = dict.fromkeys(chain.from_iterable(halves)).keys()  # G*'s edges, in base-edge order
+            darts = {(v, w) for v, order in rotation.items() for w in order}
+            rot_edges = {(v, w) if v <= w else (w, v) for v, w in darts}
+            if rot_edges != planar_edges:
+                return (
+                    "rotation does not cover the planarization exactly (missing="
+                    f"{sorted(planar_edges - rot_edges)}, extra={sorted(rot_edges - planar_edges)})"
+                )
+            # The rotation covers G*'s edges but lists some edge from one end only.
+            u, v = next((u, v) for u, v in planar_edges if (u, v) not in darts or (v, u) not in darts)
+            return f"rotation is not symmetric on edge ({u}, {v})"
+        for z, (e1, e2) in enumerate(crossings, start=n):
+            order = rotation[z]
+            if {order[0], order[2]} not in ({*e1}, {*e2}):
+                return f"rotation at crossing vertex {z} does not alternate {e1} and {e2}"
+        return None
 
     def without_vertex(self, v: int) -> "OnePlanarDrawing":
         """Drawing with every base edge at v removed (v becomes isolated)."""

@@ -4,7 +4,8 @@
 seed-1 inputs, runs one pass of ``reduce-color`` over them and checks each
 coloring with its own checker; ``--workload audit`` does the same with
 ``discharge`` and its audit checker.  The digest of each pass's output pins
-its bytes.
+its bytes.  ``bench/ab.py``, the A/B timer of two checkouts, prints the
+same digest.
 """
 
 from __future__ import annotations
@@ -41,3 +42,13 @@ def test_reduce_benchmark_pass_is_correct():
 
 def test_audit_benchmark_pass_is_correct():
     _check_one_pass("audit", AUDIT_SHA256)
+
+
+def test_ab_digests_agree_on_one_checkout(capsys):
+    """``bench/ab.py`` on this checkout against itself: one round of one
+    ``reduce`` pass per side, with run.py's output digest on both."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import ab
+
+    assert ab.main([str(ROOT), str(ROOT), "reduce"], rounds=1, passes=1) == 0
+    assert f"output sha256 equal: {REDUCE_SHA256}" in capsys.readouterr().out

@@ -202,8 +202,19 @@ def test_chi_odd_long_path_needs_no_recursion(tmp_path, capsys):
 def test_gstar_rejects_malformed_drawing(tmp_path, capsys, payload):
     drawing = tmp_path / "d.json"
     drawing.write_text(drawing_text(payload))
-    code, _, err = run(capsys, "gstar", str(drawing))
-    assert code == 2 and err.startswith("error:")
+    code, out, err = run(capsys, "gstar", str(drawing))
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", MALFORMED_DRAWINGS)
+@pytest.mark.parametrize("command", ["classify", "lemmas", "discharge", "reduce-color"])
+def test_drawing_commands_reject_malformed_drawing_as_gstar_does(tmp_path, capsys, command, name):
+    """Every other command that reads a drawing exits 2 on a malformed one,
+    prints nothing and writes gstar's message."""
+    drawing = tmp_path / "d.json"
+    drawing.write_text(drawing_text(MALFORMED_DRAWINGS[name]))
+    expected = run(capsys, "gstar", str(drawing))
+    assert run(capsys, command, str(drawing)) == expected
 
 
 @pytest.mark.parametrize("command", ["gstar", "reduce-color"])

@@ -128,7 +128,7 @@ def test_discharge_derives_gstar_once(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    accepts = OnePlanarDrawing.__dict__["_accepts"]  # a cached_property
+    accepts = OnePlanarDrawing.__dict__["_fault"]  # a cached_property
     monkeypatch.setattr(accepts, "func", counted("accepts", accepts.func))
     monkeypatch.setattr(Graph, "components", counted("components", Graph.components))
     assert main(["discharge", str(path)]) == 0
@@ -278,7 +278,7 @@ def test_validate_agrees_with_its_former_checks(make, seed, mutations):
     for kind in mutations:
         d = _mutate(d, kind, rng)
     expected = _verdict(former_validate, d)
-    assert d._accepts == (expected is None)
+    assert d._fault == expected
     assert _verdict(OnePlanarDrawing.validate, d) == expected
 
 
@@ -290,6 +290,18 @@ def test_validate_names_asymmetric_edges_in_base_edge_order(seed):
     rng = random.Random(seed)
     for kind in ["drop", "drop"]:
         d = _mutate(d, kind, rng)
+    expected = _verdict(former_validate, d)
+    assert "not symmetric" in expected
+    assert _verdict(OnePlanarDrawing.validate, d) == expected
+
+
+@pytest.mark.parametrize("make", VALIDATE_FIXTURES)
+def test_validate_names_a_vertex_left_out_of_the_rotation(make):
+    """Without a vertex's rotation key, its edges are listed from one end only,
+    and validate names the edge the former checks named."""
+    d = make()
+    v = next(v for v, order in d.rotation.items() if order)
+    d = OnePlanarDrawing(d.base, d.crossings, {w: o for w, o in d.rotation.items() if w != v})
     expected = _verdict(former_validate, d)
     assert "not symmetric" in expected
     assert _verdict(OnePlanarDrawing.validate, d) == expected
