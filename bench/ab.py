@@ -10,12 +10,15 @@ seed-1 inputs of the workload with this repository's
 each op one in-process call of ``oddcolor.cli.main``, in the order that
 ``perfbench/run.py`` runs them.  It prints the ``time.process_time`` of
 each pass and the sha256 of its first pass's stdout, which is
-``run.py``'s ``output_sha256``.
+``run.py``'s ``output_sha256``.  It then times as many passes of its
+checkout's ``drawing_from_json`` alone over the same drawings' text: the
+parse and ``validate`` part of each op.
 
-A side's figure for a round is the median CPU time of its passes.  The
-report gives each side's median and quartiles over the rounds, the ratio
-of the medians, and the rounds in which CHANGE was faster.  The exit code
-is 1 if any child's output digest differs from the others, else 0.
+A side's figure for a round is the median CPU time of its passes.  For
+the ops and for ``drawing_from_json`` alone, the report gives each side's
+median and quartiles over the rounds, the ratio of the medians, and the
+rounds in which CHANGE was faster.  The exit code is 1 if any child's
+output digest differs from the others, else 0.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ def child(root: str, workload: str, passes: str) -> None:
     src = Path(root).resolve() / "src"
     sys.path[:0] = [str(src), str(PERFBENCH)]
     import oddcolor.cli
+    from oddcolor.embedding import drawing_from_json
     from run import ROUNDS as SHARDS, spread
     from workloads import WORKLOADS
 
@@ -50,7 +54,7 @@ def child(root: str, workload: str, passes: str) -> None:
         raise SystemExit(f"imported oddcolor from {oddcolor.cli.__file__}, not {src}")
     wl = WORKLOADS[workload]
     inputs = spread([x for r in range(SHARDS) for x in wl.shard(SEED, r)] + wl.once(SEED))
-    times, digest = [], None
+    times, parse, digest = [], [], None
     with tempfile.TemporaryDirectory() as tmp:
         argvs = []
         for inp in inputs:
@@ -65,11 +69,16 @@ def child(root: str, workload: str, passes: str) -> None:
                     oddcolor.cli.main(argv)
             times.append(time.process_time() - start)
             digest = digest or hashlib.sha256(out.getvalue().encode()).hexdigest()
-    print(json.dumps({"times": times, "sha256": digest}))
+    for _ in range(int(passes)):
+        start = time.process_time()
+        for inp in inputs:
+            drawing_from_json(inp.text)
+        parse.append(time.process_time() - start)
+    print(json.dumps({"times": times, "parse": parse, "sha256": digest}))
 
 
 def measure(root: str, workload: str, passes: int) -> dict:
-    """One child's pass times and output digest."""
+    """One child's pass times, drawing_from_json pass times and output digest."""
     run = subprocess.run(
         [sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent), root, workload, str(passes)],
         capture_output=True, text=True,
@@ -93,14 +102,15 @@ def main(argv: list[str], rounds: int = ROUNDS, passes: int = PASSES) -> int:
     for r in range(rounds):
         for side in ("base", "change") if r % 2 == 0 else ("change", "base"):
             runs[side].append(measure(sides[side], workload, passes))
-    figures = {side: [statistics.median(run["times"]) for run in rs] for side, rs in runs.items()}
-    print(f"{workload}: {rounds} rounds of {passes} passes, CPU seconds per pass")
-    for side, root in sides.items():
-        q1, q3 = quartiles(figures[side])
-        print(f"  {side:6} {statistics.median(figures[side]):.4f} [{q1:.4f}-{q3:.4f}]  {root}")
-    ratio = statistics.median(figures["change"]) / statistics.median(figures["base"])
-    wins = sum(c < b for b, c in zip(figures["base"], figures["change"]))
-    print(f"  change/base {ratio:.3f}; change faster in {wins} of {rounds} rounds")
+    for key, what in (("times", "ops"), ("parse", "drawing_from_json alone")):
+        figures = {side: [statistics.median(run[key]) for run in rs] for side, rs in runs.items()}
+        print(f"{workload}, {what}: {rounds} rounds of {passes} passes, CPU seconds per pass")
+        for side, root in sides.items():
+            q1, q3 = quartiles(figures[side])
+            print(f"  {side:6} {statistics.median(figures[side]):.4f} [{q1:.4f}-{q3:.4f}]  {root}")
+        ratio = statistics.median(figures["change"]) / statistics.median(figures["base"])
+        wins = sum(c < b for b, c in zip(figures["base"], figures["change"]))
+        print(f"  change/base {ratio:.3f}; change faster in {wins} of {rounds} rounds")
     digests = {run["sha256"] for rs in runs.values() for run in rs}
     print(f"  output sha256 {'equal' if len(digests) == 1 else 'DIFFER'}: {' '.join(sorted(digests))}")
     return 0 if len(digests) == 1 else 1

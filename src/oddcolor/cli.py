@@ -103,7 +103,7 @@ def cmd_gstar(args) -> int:
         "edges": ne,
         "faces": nf,
         "star_vertices": len(apg.star_vertices),
-        # build_associated_plane_graph rejects a component that breaks V - E + F = 2
+        # validate rejects a drawing with a component that breaks V - E + F = 2
         "euler_ok": True,
     }
     if args.dot:

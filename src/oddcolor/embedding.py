@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Edge, Graph, canonical_int, norm_edge
+from .graph import Edge, Graph, canonical_int, norm_edge, reach
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ class OnePlanarDrawing:
         In order: each crossing pairs two base edges, none crossed twice,
         with four distinct ends; every rotation key is a vertex of G* and
         repeats no neighbor; the rotation lists each vertex's G* neighbors,
-        from both ends of every edge; and each crossing vertex's rotation
-        alternates its two edges' ends.  Kept once per drawing, whose fields
-        no code changes after construction.
+        from both ends of every edge; each crossing vertex's rotation
+        alternates its two edges' ends; and V - E + F = 2 on each component
+        of G*.  Kept once per drawing, whose fields no code changes.
         """
         n, crossings, rotation = self.base.n, self.crossings, self.rotation
         crossed: set[Edge] = set()
@@ -99,7 +99,29 @@ class OnePlanarDrawing:
             order = rotation[z]
             if {order[0], order[2]} not in ({*e1}, {*e2}):
                 return f"rotation at crossing vertex {z} does not alternate {e1} and {e2}"
+        (comps, label), size = self._components, len(nbrs)
+        nf, nxt = [0] * len(comps), _face_permutation(rotation, size)
+        while nxt:  # pop one orbit, a face, at a time
+            start, dart = nxt.popitem()
+            nf[label[start // size]] += 1
+            while dart != start:
+                dart = nxt.pop(dart)
+        for verts, f in zip(comps, nf):
+            nv, ne = len(verts), sum(len(nbrs[v]) for v in verts) // 2
+            if nv - ne + f != 2:
+                return f"rotation system is not planar on component {verts[:8]}...: V-E+F = {nv}-{ne}+{f} != 2"
         return None
+
+    @cached_property
+    def _components(self) -> tuple[list[list[int]], dict[int, int]]:
+        """G*'s components with an edge, each sorted, by least vertex, and each
+        vertex's index among them, read from a rotation that lists G*'s edges."""
+        comps, label = [], {}
+        for s in sorted(self.rotation):
+            if s not in label and self.rotation[s]:
+                comps.append(sorted(reach(self.rotation, s)))
+                label.update(dict.fromkeys(comps[-1], len(comps) - 1))
+        return comps, label
 
     def without_vertex(self, v: int) -> "OnePlanarDrawing":
         """Drawing with every base edge at v removed (v becomes isolated)."""
@@ -187,40 +209,37 @@ class AssociatedPlaneGraph:
         Components come in order of their least vertex; a face belongs to
         the component of the first vertex on its walk.
         """
-        comps = [sorted(c) for c in self.gstar.components() if len(c) > 1]
-        label = {v: i for i, comp in enumerate(comps) for v in comp}
+        comps, label = self.drawing._components
         faces: list[list[int]] = [[] for _ in comps]
         for i, f in enumerate(self.faces):
             faces[label[f[0]]].append(i)
         return list(zip(comps, faces))
 
 
+def _face_permutation(rotation: Mapping[int, Sequence[int]], size: int) -> dict[int, int]:
+    """The dart after each dart of its face, the dart u→v written u * size + v:
+    after u→v comes v→w, w the successor of u in the rotation at v."""
+    return {u * size + v: v * size + w for v, o in rotation.items() for u, w in zip(o[-1:] + o, o)}
+
+
 def trace_faces(rotation: Mapping[int, Sequence[int]]) -> tuple[Face, ...]:
-    """Partition the darts of a rotation system into boundary walks."""
-    index_of: dict[int, dict[int, int]] = {}
-    for v, order in rotation.items():
-        index_of[v] = {w: i for i, w in enumerate(order)}
-    darts = {(u, v) for u, order in rotation.items() for v in order}
-    for u, v in darts:
-        if (v, u) not in darts:
-            raise ValueError(f"dart ({u}, {v}) has no reverse dart")
-    seen: set[tuple[int, int]] = set()
+    """Partition a rotation system's darts into boundary walks, each from its least dart, in that order."""
+    ids = [*rotation, *chain.from_iterable(rotation.values())]
+    if min(ids, default=0) < 0:
+        raise ValueError(f"rotation has negative vertex id {min(ids)}")
+    size = max(ids, default=0) + 1
+    nxt = _face_permutation(rotation, size)
+    darts = sorted(u * size + v for u, order in rotation.items() for v in order)
+    if not all(map(nxt.__contains__, darts)):  # some dart's reverse is not a dart
+        raise ValueError(f"dart {divmod(min(set(darts) - nxt.keys()), size)} has no reverse dart")
     faces: list[Face] = []
-    for start in sorted(darts):
-        if start in seen:
-            continue
-        walk: list[int] = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            u, v = cur
-            walk.append(u)
-            order = rotation[v]
-            i = index_of[v][u]
-            w = order[(i + 1) % len(order)]
-            cur = (v, w)
-        if cur != start:
-            raise ValueError(f"face walk from dart {start} did not close at {cur}")
+    for start in filter(nxt.__contains__, darts):  # each dart that no walk has taken yet
+        walk, dart = [], start
+        while dart in nxt:
+            walk.append(dart // size)
+            dart = nxt.pop(dart)
+        if dart != start:
+            raise ValueError(f"face walk from dart {divmod(start, size)} did not close at {divmod(dart, size)}")
         faces.append(tuple(walk))
     return tuple(faces)
 
@@ -232,20 +251,11 @@ def build_associated_plane_graph(d: OnePlanarDrawing) -> AssociatedPlaneGraph:
     ends, so each star gets four base neighbors and every base vertex
     keeps its degree.
     """
-    d.validate()  # so the rotation lists each vertex's G* neighbors
+    d.validate()  # so the rotation lists each vertex's G* neighbors and is planar
     nbrs = [sorted(d.rotation.get(v, ())) for v in range(d.base.n + len(d.crossings))]
     edges = frozenset((v, w) for v, ws in enumerate(nbrs) for w in ws if v < w)
     gstar = Graph(n=len(nbrs), edges=edges, adj=tuple(map(tuple, nbrs)))
-    apg = AssociatedPlaneGraph(drawing=d, gstar=gstar, faces=trace_faces(d.rotation))
-    for verts, faces in apg.components:  # V - E + F = 2 on each (isolated vertices skipped)
-        nv, nf = len(verts), len(faces)
-        ne = sum(gstar.degree(v) for v in verts) // 2
-        if nv - ne + nf != 2:
-            raise ValueError(
-                f"rotation system is not planar on component "
-                f"{verts[:8]}...: V-E+F = {nv}-{ne}+{nf} != 2"
-            )
-    return apg
+    return AssociatedPlaneGraph(drawing=d, gstar=gstar, faces=trace_faces(d.rotation))
 
 
 # ---------------------------------------------------------------------------

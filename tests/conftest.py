@@ -7,7 +7,7 @@ import json
 import pytest
 
 from oddcolor.graph import Graph
-from oddcolor.embedding import OnePlanarDrawing, build_associated_plane_graph
+from oddcolor.embedding import OnePlanarDrawing, build_associated_plane_graph, drawing_to_json
 from oddcolor.generators import random_one_planar
 
 
@@ -175,8 +175,7 @@ def k4_with_rotation_key(key: str) -> dict:
     return payload
 
 
-# Drawing payloads that `gstar` must reject with exit code 2, by name.  The
-# first twelve keep their place: tests name them by position.
+# Drawing payloads that `gstar` must reject with exit code 2, by name.
 MALFORMED_DRAWINGS = {
     "n-string": {"n": "x", "edges": [[0, 1]]},
     "rotation-order-int": {"n": 2, "edges": [[0, 1]], "rotation": {"0": 5, "1": [0]}},
@@ -228,6 +227,7 @@ MALFORMED_DRAWINGS = {
     "edge-long-integer": '{"n": 2, "edges": [[0, %s]]}' % ("1" * 5000),
     "rotation-key-long": _k4(**{"1" * 5000: []}),
     "rotation-key-long-letters": _k4(**{"x" * 5000: []}),
+    "nonplanar-rotation": drawing_to_json(nonplanar_rotation_drawing()),
 }
 
 

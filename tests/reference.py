@@ -200,22 +200,27 @@ def faces(rotation: Mapping[int, Sequence[int]]) -> list[tuple[int, ...]]:
     return out
 
 
-def is_valid_drawing(d: OnePlanarDrawing) -> bool:
-    """Whether d passes the former checks and its rotation is planar.
+def planarity_fault(d: OnePlanarDrawing) -> str | None:
+    """For a drawing that passes the former checks, the message naming the
+    first component of G* with an edge, by least vertex, on which V - E + F
+    != 2, F counting the face walks that start in it; or None."""
+    adj, walks = gstar_adjacency(d), faces(d.rotation)
+    for comp in components(adj):
+        nv, ne = len(comp), sum(len(adj[v]) for v in comp) // 2
+        nf = sum(f[0] in comp for f in walks)
+        if ne and nv - ne + nf != 2:
+            return f"rotation system is not planar on component {sorted(comp)[:8]}...: V-E+F = {nv}-{ne}+{nf} != 2"
+    return None
 
-    Planar means V - E + F = 2 on each component of G* that has an edge,
-    F counting the face walks that start in that component.
-    """
+
+def is_valid_drawing(d: OnePlanarDrawing) -> bool:
+    """Whether d passes the former checks and its rotation is planar, V - E + F = 2
+    on each component of G* that has an edge."""
     try:
         former_validate(d)
     except ValueError:
         return False
-    adj, walks = gstar_adjacency(d), faces(d.rotation)
-    for comp in components(adj):
-        nv, ne = len(comp), sum(len(adj[v]) for v in comp) // 2
-        if ne and nv - ne + sum(f[0] in comp for f in walks) != 2:
-            return False
-    return True
+    return planarity_fault(d) is None
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,10 @@ def test_chi_odd_long_path_needs_no_recursion(tmp_path, capsys):
     assert code == 0 and out.strip() == "3"
 
 
-@pytest.mark.parametrize("payload", MALFORMED_DRAWINGS.values())
-def test_gstar_rejects_malformed_drawing(tmp_path, capsys, payload):
+@pytest.mark.parametrize("name", MALFORMED_DRAWINGS)
+def test_gstar_rejects_malformed_drawing(tmp_path, capsys, name):
     drawing = tmp_path / "d.json"
-    drawing.write_text(drawing_text(payload))
+    drawing.write_text(drawing_text(MALFORMED_DRAWINGS[name]))
     code, out, err = run(capsys, "gstar", str(drawing))
     assert (code, out) == (2, "") and err.startswith("error:")
 
@@ -236,9 +236,9 @@ def test_non_alternating_crossing_rotation_exits_2(tmp_path, capsys, command):
     assert "rotation at crossing vertex 4 does not alternate" in err
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_reduce_color_rejects_a_nonplanar_rotation(tmp_path, capsys):
-    """gstar and discharge exit 2 on this drawing; the colorer never checks Euler's formula."""
+    """Its crossings alternate but its rotation is not planar.  The colorer never
+    traces faces, so validate must reject it."""
     drawing = tmp_path / "d.json"
     drawing.write_text(drawing_to_json(nonplanar_rotation_drawing()))
     code, out, err = run(capsys, "reduce-color", str(drawing))

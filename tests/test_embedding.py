@@ -1,10 +1,13 @@
+import contextlib
 import json
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcolor.cli import main
+from oddcolor import embedding
 from oddcolor.graph import Graph, norm_edge
 from oddcolor.embedding import (
     OnePlanarDrawing,
@@ -28,7 +31,9 @@ from conftest import (
     semipoor5_drawing,
     special7_drawing,
 )
-from reference import faces, former_validate, gstar_adjacency, is_valid_drawing, json_of_drawing, planarization
+from reference import (
+    faces, former_validate, gstar_adjacency, is_valid_drawing, json_of_drawing, planarity_fault, planarization,
+)
 from test_golden import CLI_EXTRA, FIXTURES, RANDOM, _drawings, two_component_drawing
 
 
@@ -116,11 +121,12 @@ def test_gstar_is_the_planarization_on_random_drawings(n, seed, cap):
 
 
 def test_discharge_derives_gstar_once(tmp_path, monkeypatch):
-    """One op runs the accept rule once, though the decoder and G*'s builder
-    both validate, and walks G*'s components once for Euler and the audit."""
+    """One op runs the validity pass once, though the decoder and G*'s builder
+    both validate, labels G*'s components once for Euler and the audit, and
+    traces G*'s faces once."""
     path = tmp_path / "drawing.json"
     path.write_text(drawing_to_json(random_one_planar(40, seed=1)))
-    calls = {"accepts": 0, "components": 0}
+    calls = {"_fault": 0, "_components": 0, "trace_faces": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -128,11 +134,12 @@ def test_discharge_derives_gstar_once(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    accepts = OnePlanarDrawing.__dict__["_fault"]  # a cached_property
-    monkeypatch.setattr(accepts, "func", counted("accepts", accepts.func))
-    monkeypatch.setattr(Graph, "components", counted("components", Graph.components))
+    for name in ("_fault", "_components"):
+        prop = OnePlanarDrawing.__dict__[name]  # a cached_property
+        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    monkeypatch.setattr(embedding, "trace_faces", counted("trace_faces", trace_faces))
     assert main(["discharge", str(path)]) == 0
-    assert calls == {"accepts": 1, "components": 1}
+    assert calls == {"_fault": 1, "_components": 1, "trace_faces": 1}
 
 
 def test_no_adjacent_stars_and_star_degree(corpus_apgs):
@@ -271,13 +278,13 @@ def _verdict(check, d: OnePlanarDrawing) -> str | None:
     st.lists(st.sampled_from(MUTATIONS), max_size=3),
 )
 def test_validate_agrees_with_its_former_checks(make, seed, mutations):
-    """The one-pass accept rule accepts exactly the drawings the former checks
-    accepted, and a rejection raises their message."""
+    """The one validity pass names the former checks' first fault and, where
+    they pass, a component of G* that breaks Euler's formula."""
     d = random_one_planar(make, seed=seed) if isinstance(make, int) else make()
     rng = random.Random(seed)
     for kind in mutations:
         d = _mutate(d, kind, rng)
-    expected = _verdict(former_validate, d)
+    expected = _verdict(former_validate, d) or planarity_fault(d)
     assert d._fault == expected
     assert _verdict(OnePlanarDrawing.validate, d) == expected
 
@@ -307,12 +314,31 @@ def test_validate_names_a_vertex_left_out_of_the_rotation(make):
     assert _verdict(OnePlanarDrawing.validate, d) == expected
 
 
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+
+
 def _check_planarity(d: OnePlanarDrawing) -> None:
-    """The reference accepts d iff validate and G*'s builder do, and where the
-    former checks pass, trace_faces walks the reference's faces in order."""
+    """The reference accepts d iff validate and G*'s builder do.  Where the
+    former checks pass, trace_faces walks the reference's faces in order;
+    where they fail, it returns or raises ValueError, and its walks end."""
     assert is_valid_drawing(d) == (_verdict(build_associated_plane_graph, d) is None)
     if _verdict(former_validate, d) is None:
         assert list(trace_faces(d.rotation)) == faces(d.rotation)
+    else:
+        with _deadline(5):
+            _verdict(lambda d: trace_faces(d.rotation), d)
 
 
 PLANARITY_DRAWINGS = {

@@ -10,7 +10,9 @@ the next-candidate fallback, greedy repair and outright failure.
 ``golden_cli.json`` pins the stdout, stderr and exit code of the analysis
 commands (``gstar``, ``classify``, ``lemmas``, ``discharge``) on the same
 drawings, plus a two-component drawing with an isolated vertex and one
-whose second component is not planar.
+whose second component is not planar.  The latter's stderr was recorded
+again when ``validate`` began to check planarity, since its message now
+names the file, as every other drawing fault does.
 
 ``golden_malformed.json`` pins the stdout, stderr and exit code of
 ``gstar`` on each malformed drawing of ``conftest.MALFORMED_DRAWINGS``,
@@ -21,7 +23,8 @@ recorded again after that change: ``rotation-key-duplicate``,
 ``-empty``, ``-leading-zero``, ``-letter``, ``-plus``, ``-space`` and
 ``-underscore``.  The over-long integer cases (``edge-long-integer``,
 ``rotation-key-long`` and ``rotation-key-long-letters``) were added when
-the parsers began to refuse such integers themselves.
+the parsers began to refuse such integers themselves, and
+``nonplanar-rotation`` when ``validate`` began to check planarity.
 
 ``golden_generators.json`` was recorded before the generator kept its
 face list incrementally.  It pins the sha256 of ``drawing_to_json`` of
