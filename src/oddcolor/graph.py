@@ -1,8 +1,9 @@
 """Simple undirected graphs with dense integer vertex ids.
 
-Vertices are 0..n-1.  Loops and parallel edges are rejected; isolated
-vertices are representable (they matter: the odd-color condition exempts
-them).  Graphs are immutable after construction and safe to share.
+Vertices are 0..n-1.  Loops are rejected and parallel edges are merged
+into one; isolated vertices are representable (they matter: the
+odd-color condition exempts them).  Graphs are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations

@@ -156,6 +156,24 @@ def plane_c5_drawing() -> OnePlanarDrawing:
     return OnePlanarDrawing(base=g, crossings=(), rotation=rot)
 
 
+def disjoint_union(a: OnePlanarDrawing, b: OnePlanarDrawing) -> OnePlanarDrawing:
+    """a and b side by side: b's vertices follow a's, and the crossing
+    vertices follow all of them, a's first."""
+    na, nb, ca = a.base.n, b.base.n, len(a.crossings)
+
+    def in_a(x: int) -> int:
+        return x if x < na else x + nb
+
+    def in_b(x: int) -> int:
+        return x + na if x < nb else x + na + ca
+
+    edges = [*a.base.edges, *((in_b(u), in_b(v)) for u, v in b.base.edges)]
+    crossings = (*a.crossings, *(tuple((in_b(u), in_b(v)) for u, v in pair) for pair in b.crossings))
+    rotation = {in_a(x): tuple(map(in_a, order)) for x, order in a.rotation.items()}
+    rotation.update({in_b(x): tuple(map(in_b, order)) for x, order in b.rotation.items()})
+    return OnePlanarDrawing(Graph.from_edge_list(edges, n=na + nb), crossings, rotation)
+
+
 _K4_EDGES = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 _K4_ROTATION = {"0": [1, 3, 2], "1": [0, 2, 3], "2": [1, 0, 3], "3": [2, 0, 1]}
 

@@ -1,8 +1,9 @@
 """Slow, plain definitions that the package's fast paths are tested against.
 
 The functions read only the package's data: a graph's ``n`` and
-``edges``, a drawing's ``base``, ``crossings`` and ``rotation``, and a
-coloring's ``k`` and ``assign``.  None of them calls a function of the
+``edges``, a drawing's ``base``, ``crossings`` and ``rotation``, a
+coloring's ``k`` and ``assign``, and the taxonomy's ``special_2``,
+``special_7`` and ``face_class``.  None of them calls a function of the
 package, so a fault in the code under test cannot also be in its oracle.  ``test_imports`` fails if this module
 imports an ``oddcolor`` name outside ``if TYPE_CHECKING:``.
 """
@@ -11,12 +12,15 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from oddcolor.coloring import Coloring
     from oddcolor.embedding import OnePlanarDrawing
     from oddcolor.graph import Edge, Graph
+    from oddcolor.structure import FaceTags, VertexTags
 
 
 def adjacency(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
@@ -221,6 +225,81 @@ def is_valid_drawing(d: OnePlanarDrawing) -> bool:
     except ValueError:
         return False
     return planarity_fault(d) is None
+
+
+# ---------------------------------------------------------------------------
+# charges
+
+Element = tuple[str, int]  # ("v", vertex of G*) or ("f", index of a face walk)
+Move = tuple[Element, Element, Fraction, str]  # source, target, amount, rule
+POOR = ("poor3", "poor4", "poor6")
+
+
+def discharge(d: OnePlanarDrawing, vt: VertexTags, ft: FaceTags) -> tuple[dict, dict, Counter[Move]]:
+    """The initial and final charges of G*'s elements and the multiset of R1-R4's transfers.
+
+    Each vertex of G* with a neighbor and each face walk f starts with its
+    degree less 4, d(f) being the length of the walk.  The rules give per
+    incidence, so a walk that passes a vertex twice gives or takes twice:
+
+    - R1: a vertex of degree >= 8 gives 1 to a poor face, and 1/2 to any
+      other face that is semi-poor or a 3-face.
+    - R2: a 7-vertex gives 1/2 to a semi-poor 4-face, to a semi-poor
+      5-face that passes 7-vertices twice, to a 3-face at a crossing
+      vertex, and, if it is not a special 7-vertex, to a 3-face whose
+      degrees are 7, 7 and 10 or more.
+    - R3: a face of degree >= 5 splits d(f) - 4 equally among its
+      passes through 2-vertices.
+    - R4, after R1 and R2 have paid every face: a face of degree >= 4
+      splits what they gave it equally among its passes through special
+      2-vertices.
+
+    A transfer of 0 is none.  Faces are compared to their classes by the
+    classes' string values.
+    """
+    adj, walks = gstar_adjacency(d), faces(d.rotation)
+    deg = [len(nbrs) for nbrs in adj]
+    crossing_vertices = range(d.base.n, len(adj))
+    mu: dict[Element, Fraction] = {("v", x): Fraction(dx - 4) for x, dx in enumerate(deg) if dx}
+    mu.update({("f", i): Fraction(len(f) - 4) for i, f in enumerate(walks)})
+    final = dict(mu)
+    moves: Counter[Move] = Counter()
+
+    def give(source: Element, target: Element, amount: Fraction, rule: str) -> None:
+        if amount:
+            moves[source, target, amount, rule] += 1
+            final[source] -= amount
+            final[target] += amount
+
+    half = Fraction(1, 2)
+    income = [Fraction(0)] * len(walks)
+    for i, f in enumerate(walks):
+        cls, size = ft.face_class[i], len(f)
+        degrees = sorted(deg[x] for x in f)
+        for x in f:
+            amount, rule = Fraction(0), "R1"
+            if deg[x] >= 8:
+                amount = 1 if cls in POOR else half if cls == "semi_poor" or size == 3 else 0
+            elif deg[x] == 7:
+                rule = "R2"
+                if cls == "semi_poor" and (size == 4 or size == 5 and degrees.count(7) == 2):
+                    amount = half
+                elif size == 3 and any(z in crossing_vertices for z in f):
+                    amount = half
+                elif size == 3 and degrees[:2] == [7, 7] and degrees[2] >= 10 and x not in vt.special_7:
+                    amount = half
+            give(("v", x), ("f", i), Fraction(amount), rule)
+            income[i] += amount
+    for i, f in enumerate(walks):
+        twos = [x for x in f if deg[x] == 2]
+        specials = [x for x in f if x in vt.special_2]
+        if len(f) >= 5:
+            for x in twos:
+                give(("f", i), ("v", x), Fraction(len(f) - 4, len(twos)), "R3")
+        if len(f) >= 4:
+            for x in specials:
+                give(("f", i), ("v", x), income[i] / len(specials), "R4")
+    return mu, final, moves
 
 
 # ---------------------------------------------------------------------------

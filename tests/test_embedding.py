@@ -25,6 +25,7 @@ from oddcolor.structure import FaceClass, classify_faces, classify_vertices
 
 from conftest import (
     crossed_k4_drawing,
+    disjoint_union,
     nonplanar_rotation_drawing,
     plane_c5_drawing,
     poor4_drawing,
@@ -32,7 +33,8 @@ from conftest import (
     special7_drawing,
 )
 from reference import (
-    faces, former_validate, gstar_adjacency, is_valid_drawing, json_of_drawing, planarity_fault, planarization,
+    components, faces, former_validate, gstar_adjacency, is_valid_drawing, json_of_drawing, planarity_fault,
+    planarization,
 )
 from test_golden import CLI_EXTRA, FIXTURES, RANDOM, _drawings, two_component_drawing
 
@@ -118,6 +120,38 @@ def test_gstar_is_the_planarization_on_golden_drawings(make):
 def test_gstar_is_the_planarization_on_random_drawings(n, seed, cap):
     crossings = {"zero": 0, "default": None, "n": n}[cap]
     _check_gstar_and_crossed_edges(random_one_planar(n, seed=seed, crossings=crossings))
+
+
+def _check_components(d: OnePlanarDrawing) -> None:
+    """G*'s components with an edge, by least vertex, with the faces whose
+    walks start in each: the reference's walk over G*'s neighbor lists."""
+    walks = faces(d.rotation)
+    expected = [
+        (sorted(comp), [i for i, f in enumerate(walks) if f[0] in comp])
+        for comp in components(gstar_adjacency(d))
+        if len(comp) > 1
+    ]
+    apg = build_associated_plane_graph(d)
+    assert apg.components == expected
+    for verts, face_ids in apg.components:
+        assert all(apg.faces[i][0] in verts for i in face_ids)
+
+
+@pytest.mark.parametrize("make", [*_drawings().values(), two_component_drawing], ids=[*_drawings(), "two-components"])
+def test_components_agree_with_the_reference_on_golden_drawings(make):
+    _check_components(make())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(3, 30), st.integers(0, 2**32 - 1)), min_size=1, max_size=3))
+def test_components_agree_with_the_reference_on_random_drawings(parts):
+    """Random drawings side by side; n = 3 stands for an isolated vertex."""
+    isolated = OnePlanarDrawing(Graph.from_edge_list([], n=1), (), {})
+    drawings = [random_one_planar(n, seed=seed) if n > 3 else isolated for n, seed in parts]
+    d = drawings[0]
+    for part in drawings[1:]:
+        d = disjoint_union(d, part)
+    _check_components(d)
 
 
 def test_discharge_derives_gstar_once(tmp_path, monkeypatch):
