@@ -1,22 +1,24 @@
 """Initial charges, the four transfer rules, and the final-charge audit.
 
 Every vertex and face of the planarization starts with charge d(x) - 4;
-the Euler formula makes the total -8 per connected component.  Rules move
-charge in two phases: vertices pay faces first (R1, R2), then faces
-redistribute to their 2-vertices (R3, R4).  ``apply_rules`` applies each
-transfer to the final charges as it logs it, so they are computed once;
-the audit checks that each component keeps its sum.  All arithmetic is
-exact rational; the razor-thin 0-versus-negative distinctions do not
-survive floating point.
+the Euler formula makes the total -8 per connected component.  Vertices
+pay faces first (R1, R2), then faces redistribute to their 2-vertices
+(R3, R4).  R1 and R2 are the ``CLAUSES`` table, which ``payment`` reads
+for one incidence's ``View`` without the drawing; R3 and R4 are face
+formulas.  ``apply_rules`` applies each transfer to the final charges as
+it logs it, so they are computed once; the audit checks that each
+component keeps its sum.  All arithmetic is exact rational; the
+razor-thin 0-versus-negative distinctions do not survive floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .embedding import AssociatedPlaneGraph
-from .structure import FaceClass, FaceTags, LemmaReport, VertexTags, sevens_of_7710
+from .structure import FaceClass, FaceTags, LemmaReport, VertexTags
 
 Element = tuple[str, int]  # ("v", vertex id) or ("f", face index)
 
@@ -54,43 +56,37 @@ def initial_charges(apg: AssociatedPlaneGraph) -> ChargeLedger:
     return ChargeLedger(mu=mu, mu_star=dict(mu))
 
 
-def _vertex_payment(
-    apg: AssociatedPlaneGraph,
-    vt: VertexTags,
-    ft: FaceTags,
-    v: int,
-    face_index: int,
-) -> tuple[Fraction, str] | None:
-    """Phase-A payment for one vertex-face incidence, or None.
+class View(NamedTuple):
+    """One vertex-face incidence as R1 and R2 read it; the face's counts are per pass of its walk."""
 
-    A vertex pays each incidence under the single highest-priority clause:
-    the poor payment supersedes the semi-poor/3-face payment.
-    """
-    dv = apg.gstar.degree(v)
-    if dv < 7:
-        return None
-    f = apg.faces[face_index]
-    cls = ft.face_class[face_index]
-    df = len(f)
-    if dv >= 8:
-        if cls.is_poor:
-            return Fraction(1), "R1"
-        if cls is FaceClass.SEMI_POOR or df == 3:
-            return Fraction(1, 2), "R1"
-        return None
-    # dv == 7
-    if cls is FaceClass.SEMI_POOR and df == 4:
-        return Fraction(1, 2), "R2"
-    if cls is FaceClass.SEMI_POOR and df == 5:
-        sevens = sum(1 for x in f if apg.gstar.degree(x) == 7)
-        if sevens == 2:
-            return Fraction(1, 2), "R2"
-        return None
-    if df == 3:
-        if any(apg.is_star(x) for x in f):
-            return Fraction(1, 2), "R2"
-        if sevens_of_7710(f, apg) and v not in vt.special_7:
-            return Fraction(1, 2), "R2"
+    dv: int  # d(v)
+    special_7: bool  # v is a special 7-vertex
+    df: int  # d(f)
+    cls: FaceClass
+    sevens: int  # passes of f through 7-vertices
+    star: bool  # f passes through a crossing vertex
+    top: int  # the largest degree on f: a triangle with two sevens and top >= 10 is 7-7-10+
+
+
+CLAUSES: tuple[tuple[str, Fraction, Callable[[View], bool]], ...] = (
+    ("R1", Fraction(1), lambda w: w.dv >= 8 and w.cls.is_poor),
+    ("R1", Fraction(1, 2), lambda w: w.dv >= 8 and (w.cls is FaceClass.SEMI_POOR or w.df == 3)),
+    ("R2", Fraction(1, 2), lambda w: w.dv == 7 and w.cls is FaceClass.SEMI_POOR and w.df == 4),
+    ("R2", Fraction(1, 2), lambda w: w.dv == 7 and w.cls is FaceClass.SEMI_POOR and w.df == 5 and w.sevens == 2),
+    ("R2", Fraction(1, 2), lambda w: w.dv == 7 and w.df == 3 and w.star),
+    ("R2", Fraction(1, 2), lambda w: w.dv == 7 and w.df == 3 and w.sevens == 2 and w.top >= 10 and not w.special_7),
+)
+"""R1 and R2 as data: each (rule, amount, condition) is one way a vertex
+pays a face.  The first clause whose condition holds decides, so a poor
+face gets 1 from an 8+-vertex, not 1/2.  No clause pays below degree 7."""
+
+
+def payment(view: View) -> tuple[Fraction, str] | None:
+    """What the vertex pays the face, as (amount, rule), or None: the first
+    clause of ``CLAUSES`` that holds for view alone decides."""
+    for rule, amount, holds in CLAUSES:
+        if holds(view):
+            return amount, rule
     return None
 
 
@@ -104,10 +100,14 @@ def apply_rules(apg: AssociatedPlaneGraph, vt: VertexTags, ft: FaceTags) -> Char
     ledger = initial_charges(apg)
     move = ledger.move
 
+    adj = apg.gstar.adj
     for i, f in enumerate(apg.faces):
-        for v in f:
-            pay = _vertex_payment(apg, vt, ft, v, i)
-            if pay is not None:
+        degrees = [len(adj[x]) for x in f]
+        if (top := max(degrees)) < 7:
+            continue
+        facts = (len(f), ft.face_class[i], degrees.count(7), any(map(apg.is_star, f)), top)
+        for v, dv in zip(f, degrees):
+            if dv >= 7 and (pay := payment(View(dv, v in vt.special_7, *facts))):
                 move(("v", v), ("f", i), *pay)
 
     for i, f in enumerate(apg.faces):

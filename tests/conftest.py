@@ -37,30 +37,32 @@ def poor4_drawing() -> OnePlanarDrawing:
     )
 
 
-def semipoor5_drawing(extra_leaf: bool = False) -> OnePlanarDrawing:
-    """A semi-poor 5-face (a, z2, v, z1) plus a poor 4-face sharing v.
+def semipoor5_drawing(extra_leaf: bool = False, c_leaves: int = 2) -> OnePlanarDrawing:
+    """A semi-poor 5-face (a, b, z2, v, z1) plus a poor 4-face sharing v.
 
     Vertices a=0 and b=1 have degree 7; v=2 is a 2-vertex whose two edges
     are crossed by a-c and b-c, so v sits on both a 5-face with a and b and
     a 4-face with c=3.  With ``extra_leaf`` the degree of a rises to 8,
-    switching a's payment from R2 to R1.
+    switching a's payment from R2 to R1.  c has ``c_leaves`` leaves; with
+    six, its degree is 8 and it pays the poor 4-face 1 under R1.
     """
     edges = [(0, 1), (0, 3), (1, 3), (2, 4), (2, 5)]
     edges += [(0, i) for i in range(6, 11)]
     edges += [(1, i) for i in range(11, 16)]
-    edges += [(3, 16), (3, 17)]
-    n = 18
+    c_leaf_ids = range(16, 16 + c_leaves)
+    edges += [(3, leaf) for leaf in c_leaf_ids]
+    n = 16 + c_leaves
     if extra_leaf:
-        edges.append((0, 18))
-        n = 19
+        edges.append((0, n))
+        n += 1
     g = Graph.from_edge_list(edges, n=n)
     z1, z2 = n, n + 1
-    a_rot = [1, 6, 7, 8, 9, 10, 18, z1] if extra_leaf else [1, 6, 7, 8, 9, 10, z1]
+    a_rot = [1, 6, 7, 8, 9, 10, n - 1, z1] if extra_leaf else [1, 6, 7, 8, 9, 10, z1]
     rot = {
         0: tuple(a_rot),
         1: (11, 12, 13, 14, 15, 0, z2),
         2: (z1, z2),
-        3: (z2, z1, 16, 17),
+        3: (z2, z1, *c_leaf_ids),
         4: (z1,),
         5: (z2,),
         z1: (2, 0, 4, 3),
@@ -70,15 +72,27 @@ def semipoor5_drawing(extra_leaf: bool = False) -> OnePlanarDrawing:
         rot[leaf] = (0,)
     for leaf in range(11, 16):
         rot[leaf] = (1,)
-    for leaf in (16, 17):
+    for leaf in c_leaf_ids:
         rot[leaf] = (3,)
     if extra_leaf:
-        rot[18] = (0,)
+        rot[n - 1] = (0,)
     return OnePlanarDrawing(
         base=g,
         crossings=(((0, 3), (2, 4)), ((1, 3), (2, 5))),
         rotation=rot,
     )
+
+
+def semipoor4_drawing() -> OnePlanarDrawing:
+    """The plane square 0-1-2-3 with five leaves on 0 in the outer face.
+
+    0 has degree 7 and 1, 2, 3 are 2-vertices, so the inner 4-face is
+    semi-poor and 0 pays it 1/2 under R2.
+    """
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)] + [(0, leaf) for leaf in range(4, 9)]
+    rot = {0: (1, 4, 5, 6, 7, 8, 3), 1: (2, 0), 2: (3, 1), 3: (0, 2)}
+    rot.update({leaf: (0,) for leaf in range(4, 9)})
+    return OnePlanarDrawing(base=Graph.from_edge_list(edges, n=9), crossings=(), rotation=rot)
 
 
 def special7_drawing() -> OnePlanarDrawing:

@@ -7,10 +7,17 @@ from hypothesis import given, settings, strategies as st
 from oddcolor import discharging
 from oddcolor.embedding import build_associated_plane_graph
 from oddcolor.generators import random_one_planar
-from oddcolor.structure import classify_faces, classify_vertices, detect_lemma_violations
-from oddcolor.discharging import Transfer, apply_rules, audit, initial_charges
+from oddcolor.structure import FaceClass, classify_faces, classify_vertices, detect_lemma_violations
+from oddcolor.discharging import Transfer, View, apply_rules, audit, initial_charges, payment
 
-from conftest import crossed_k4_drawing, disjoint_union, plane_c5_drawing, poor4_drawing, semipoor5_drawing
+from conftest import (
+    crossed_k4_drawing,
+    disjoint_union,
+    plane_c5_drawing,
+    poor4_drawing,
+    semipoor4_drawing,
+    semipoor5_drawing,
+)
 from reference import discharge
 from test_golden import FIXTURES, RANDOM, two_component_drawing
 
@@ -144,14 +151,57 @@ def _check_rules_against_reference(d):
     assert Counter((t.source, t.target, t.amount, t.rule) for t in led.transfers) == moves
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda n=n, seed=seed: random_one_planar(n, seed=seed) for n, seed in RANDOM]
-    + [*FIXTURES.values(), crossed_k4_drawing, two_component_drawing, _c5_beside_semipoor5],
-    ids=[f"n{n}-s{seed}" for n, seed in RANDOM] + [*FIXTURES, "crossed-k4", "two-components", "c5-semipoor5"],
-)
+GOLDEN_DRAWINGS = {
+    **{f"n{n}-s{seed}": lambda n=n, seed=seed: random_one_planar(n, seed=seed) for n, seed in RANDOM},
+    **FIXTURES,
+    "crossed-k4": crossed_k4_drawing,
+    "two-components": two_component_drawing,
+    "c5-semipoor5": _c5_beside_semipoor5,
+    # the only drawings on which an 8+-vertex pays a poor face and a
+    # 7-vertex a semi-poor 4-face
+    "semipoor5-c8": lambda: semipoor5_drawing(c_leaves=6),
+    "semipoor4": semipoor4_drawing,
+}
+
+
+@pytest.mark.parametrize("make", GOLDEN_DRAWINGS.values(), ids=GOLDEN_DRAWINGS)
 def test_rules_match_the_reference_on_golden_drawings(make):
     _check_rules_against_reference(make())
+
+
+def _reference_check_fails(make) -> bool:
+    try:
+        _check_rules_against_reference(make())
+    except AssertionError:
+        return True
+    return False
+
+
+CLAUSE_IDS = ["8+-poor", "8+-semipoor-or-triangle", "7-semipoor4", "7-semipoor5", "7-star-triangle", "7-7-10-triangle"]
+
+
+@pytest.mark.parametrize("index", range(len(discharging.CLAUSES)), ids=CLAUSE_IDS)
+def test_every_clause_is_held_to_the_reference(monkeypatch, index):
+    """Paying one clause 1/2 more, or dropping it, breaks the reference
+    test on at least one golden drawing."""
+    clauses = discharging.CLAUSES
+    rule, amount, holds = clauses[index]
+    for mutated in [(rule, amount + Fraction(1, 2), holds)], []:
+        monkeypatch.setattr(discharging, "CLAUSES", (*clauses[:index], *mutated, *clauses[index + 1:]))
+        assert any(_reference_check_fails(make) for make in GOLDEN_DRAWINGS.values()), mutated
+
+
+def test_payment_reads_only_the_view():
+    half = Fraction(1, 2)
+    # (d(v), special 7, d(f), class, 7-passes, star, top degree)
+    assert payment(View(6, False, 3, FaceClass.POOR3, 2, True, 10)) is None
+    assert payment(View(8, False, 3, FaceClass.POOR3, 2, False, 10)) == (1, "R1")
+    assert payment(View(8, False, 4, FaceClass.POOR4, 0, True, 8)) == (1, "R1")
+    assert payment(View(7, True, 3, FaceClass.ORDINARY, 2, False, 10)) is None
+    assert payment(View(7, False, 3, FaceClass.ORDINARY, 2, False, 10)) == (half, "R2")
+    assert payment(View(7, True, 3, FaceClass.ORDINARY, 1, True, 7)) == (half, "R2")
+    assert payment(View(7, False, 5, FaceClass.SEMI_POOR, 1, True, 7)) is None
+    assert payment(View(7, False, 5, FaceClass.SEMI_POOR, 2, True, 7)) == (half, "R2")
 
 
 def test_golden_drawings_fire_every_rule():
