@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from operator import eq, ge
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph
 from .embedding import AssociatedPlaneGraph, Face
@@ -169,27 +170,36 @@ def classify_vertices(apg: AssociatedPlaneGraph) -> VertexTags:
     )
 
 
-def _is_special_7(v: int, apg: AssociatedPlaneGraph) -> bool:
-    """Match the seven-triangle configuration around a 7-vertex.
+STAR = "4*"  # a crossing vertex, in SPECIAL_7 and as a neighbor's type
 
-    Going around v with neighbors v1..v7, the pattern requires: all seven
-    incident faces are triangles, v2, v4, v6 are crossing vertices,
-    d(v1) >= 10, d(v3), d(v5) >= 7, and d(v7) = 7.  Both orientations and
-    all cyclic shifts are accepted.
-    """
-    rot = apg.drawing.rotation[v]
+SPECIAL_7 = ((ge, 10), STAR, (ge, 7), STAR, (ge, 7), STAR, (eq, 7))
+"""The ring v1..v7 of a special 7-vertex: STAR, or (relation, degree) that
+a true neighbor's degree must pass."""
+
+
+def _turns(seq: Sequence, backwards: bool = False) -> Iterator[Sequence]:
+    """seq read from each of its positions in turn, and with backwards reversed as well."""
+    for s in (seq, seq[::-1]) if backwards else (seq,):
+        for i in range(len(s)):
+            yield s[i:] + s[:i]
+
+
+def _fits(entry, kind) -> bool:
+    """Whether a neighbor of type kind, STAR or its degree, passes a ring entry."""
+    return entry == kind if STAR in (entry, kind) else entry[0](kind, entry[1])
+
+
+def matches_special_7(ring: Sequence) -> bool:
+    """Whether a 7-vertex's ring of neighbor types, STAR or a degree, in
+    rotation order, matches SPECIAL_7 from some neighbor either way round."""
+    return any(all(map(_fits, SPECIAL_7, turn)) for turn in _turns(ring, backwards=True))
+
+
+def _is_special_7(v: int, apg: AssociatedPlaneGraph) -> bool:
+    """Whether the 7-vertex v has seven incident triangles and a ring that matches SPECIAL_7."""
     if any(len(apg.faces[i]) != 3 for i in apg.faces_at(v)):
         return False
-    deg = apg.gstar.degree
-    star = apg.is_star
-    for orient in (rot, tuple(reversed(rot))):
-        for shift in range(7):
-            w = [orient[(shift + i) % 7] for i in range(7)]  # v1..v7
-            if not (star(w[1]) and star(w[3]) and star(w[5])):
-                continue
-            if deg(w[0]) >= 10 and deg(w[2]) >= 7 and deg(w[4]) >= 7 and deg(w[6]) == 7:
-                return True
-    return False
+    return matches_special_7([STAR if apg.is_star(u) else apg.gstar.degree(u) for u in apg.drawing.rotation[v]])
 
 
 def _far_end(apg: AssociatedPlaneGraph, z: int, u: int) -> int:
@@ -198,44 +208,30 @@ def _far_end(apg: AssociatedPlaneGraph, z: int, u: int) -> int:
     return a + b - u
 
 
-def _poor4_witness(
-    f: Face, apg: AssociatedPlaneGraph, easy: set[int]
-) -> dict | None:
+def _poor4_witness(f: Face, apg: AssociatedPlaneGraph, easy: set[int]) -> dict | None:
     """Check the 4-face f for the poor pattern (u, 4*, 2-vertex, 4*).
 
     u and v are neighbors of stars, so true vertices; consecutive around a
     star, they lie on its two different crossed edges.
     """
-    for i in range(4):
-        u, z1, v, z2 = f[i], f[(i + 1) % 4], f[(i + 2) % 4], f[(i + 3) % 4]
-        if not (apg.is_star(z1) and apg.is_star(z2)):
-            continue
-        if apg.gstar.degree(v) != 2 or apg.gstar.degree(u) == 2:
-            continue
-        # both of v's edges are crossed by edges of u, whose far ends must be easy
-        x, y = _far_end(apg, z1, u), _far_end(apg, z2, u)
-        if x in easy and y in easy:
-            return {"u": u, "v": v, "x": x, "y": y}
+    for u, z1, v, z2 in _turns(f):
+        if apg.is_star(z1) and apg.is_star(z2) and apg.gstar.degree(v) == 2 and apg.gstar.degree(u) != 2:
+            # both of v's edges are crossed by edges of u, whose far ends must be easy
+            x, y = _far_end(apg, z1, u), _far_end(apg, z2, u)
+            if x in easy and y in easy:
+                return {"u": u, "v": v, "x": x, "y": y}
     return None
 
 
-def _poor6_witness(
-    f: Face, apg: AssociatedPlaneGraph, easy: set[int], special_2: set[int]
-) -> dict | None:
-    """Check the 6-face f for the poor pattern (u, 4*, 2, 4*, 2, 4*)."""
-    for i in range(6):
-        u = f[i]
-        z1, v, z2, w, z3 = (f[(i + j) % 6] for j in range(1, 6))
-        if not (apg.is_star(z1) and apg.is_star(z2) and apg.is_star(z3)):
-            continue
-        if apg.gstar.degree(v) != 2 or apg.gstar.degree(w) != 2:
-            continue
-        if v not in special_2 or w not in special_2:
-            continue
-        # z1 crosses an edge of u with an edge of v; z3 likewise for u and w
-        x, y = _far_end(apg, z1, u), _far_end(apg, z3, u)
-        if x in easy and y in easy:
-            return {"u": u, "v": v, "w": w, "x": x, "y": y}
+def _poor6_witness(f: Face, apg: AssociatedPlaneGraph, easy: set[int], special_2: set[int]) -> dict | None:
+    """Check the 6-face f for the poor pattern (u, 4*, 2, 4*, 2, 4*), whose
+    2-vertices are special."""
+    for u, z1, v, z2, w, z3 in _turns(f):
+        if apg.is_star(z1) and apg.is_star(z2) and apg.is_star(z3) and v in special_2 and w in special_2:
+            # z1 crosses an edge of u with an edge of v; z3 likewise for u and w
+            x, y = _far_end(apg, z1, u), _far_end(apg, z3, u)
+            if x in easy and y in easy:
+                return {"u": u, "v": v, "w": w, "x": x, "y": y}
     return None
 
 

@@ -137,6 +137,75 @@ def special7_drawing() -> OnePlanarDrawing:
     )
 
 
+def poor6_drawing() -> OnePlanarDrawing:
+    """A drawing whose planarization has a poor 6-face (u, z1, v, z2, w, z3).
+
+    u=0 has degree 8 and 2-vertices v=1, w=2 lie between the crossings
+    z1=13, z2=14, z3=15 of u-3 with v-5, v-4 with w-3, and w-6 with u-4.
+    The far ends 3 and 4 of u's crossed edges are 2-vertices, so easy, and
+    close the 4-faces (3, z1, v, z2) and (4, z2, w, z3) that make v and w
+    special.  5 and 6 are leaves, and so are 7..12 on u.
+    """
+    edges = [(0, 3), (1, 5), (1, 4), (2, 3), (2, 6), (0, 4)] + [(0, leaf) for leaf in range(7, 13)]
+    rot = {
+        0: (13, *range(7, 13), 15),
+        1: (13, 14),
+        2: (14, 15),
+        3: (13, 14),
+        4: (14, 15),
+        5: (13,),
+        6: (15,),
+        13: (0, 1, 3, 5),
+        14: (1, 2, 4, 3),
+        15: (2, 0, 6, 4),
+    }
+    rot.update({leaf: (0,) for leaf in range(7, 13)})
+    return OnePlanarDrawing(
+        base=Graph.from_edge_list(edges, n=13),
+        crossings=(((0, 3), (1, 5)), ((1, 4), (2, 3)), ((2, 6), (0, 4))),
+        rotation=rot,
+    )
+
+
+def poor3_drawing() -> OnePlanarDrawing:
+    """special7_drawing's hub 0 beside a second special 7-vertex, 4, so the
+    7-7-10 triangle (0, 1, 4) is a poor 3-face.
+
+    4's ring reads 1, 36, 8, 37, 7, 35, 0 with degrees 10, *, 7, *, 7, *, 7:
+    the spoke end 7 and the new vertex 8 have degree 7, 1-8 crosses 4-9 at
+    36 and 7-8 crosses 4-10 at 37.  Leaves pad 1 to degree 10 and 2, 3, 7
+    and 8 to 7; 5, 6, 9 and 10 are leaves.
+    """
+    edges = [(0, x) for x in range(1, 8)] + [(1, 2), (2, 3), (3, 4), (1, 4), (4, 7), (4, 8), (1, 8)]
+    edges += [(4, 9), (4, 10), (7, 8)]
+    leaves = {1: range(11, 17), 2: range(17, 21), 3: range(21, 25), 7: range(25, 29), 8: range(29, 33)}
+    edges += [(x, leaf) for x, ls in leaves.items() for leaf in ls]
+    rot = {
+        0: (1, 33, 2, 34, 3, 35, 4),
+        1: (33, 0, 4, 36, *leaves[1]),
+        2: (34, 0, 33, *leaves[2]),
+        3: (35, 0, 34, *leaves[3]),
+        4: (1, 0, 35, 7, 37, 8, 36),
+        5: (33,),
+        6: (34,),
+        7: (37, 4, 35, *leaves[7]),
+        8: (36, 4, 37, *leaves[8]),
+        9: (36,),
+        10: (37,),
+        33: (2, 0, 1, 5),
+        34: (3, 0, 2, 6),
+        35: (4, 0, 3, 7),
+        36: (1, 4, 8, 9),
+        37: (8, 4, 7, 10),
+    }
+    rot.update({leaf: (x,) for x, ls in leaves.items() for leaf in ls})
+    return OnePlanarDrawing(
+        base=Graph.from_edge_list(edges, n=33),
+        crossings=(((0, 5), (1, 2)), ((0, 6), (2, 3)), ((0, 7), (3, 4)), ((1, 8), (4, 9)), ((4, 10), (7, 8))),
+        rotation=rot,
+    )
+
+
 def crossed_k4_drawing(star_rotation: tuple[int, ...] = (0, 1, 2, 3)) -> OnePlanarDrawing:
     """K4 drawn as a square with crossing diagonals (one 4*-vertex, 4).
 

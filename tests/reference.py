@@ -2,9 +2,11 @@
 
 The functions read only the package's data: a graph's ``n`` and
 ``edges``, a drawing's ``base``, ``crossings`` and ``rotation``, a
-coloring's ``k`` and ``assign``, and the taxonomy's ``special_2``,
-``special_7`` and ``face_class``.  None of them calls a function of the
-package, so a fault in the code under test cannot also be in its oracle.  ``test_imports`` fails if this module
+coloring's ``k`` and ``assign``, the taxonomy's ``special_2``,
+``special_7`` and ``face_class`` (which ``taxonomy`` also derives from
+the drawing alone) and the witnesses of a lemma report.  None of them
+calls a function of the package, so a fault in the code under test
+cannot also be in its oracle.  ``test_imports`` fails if this module
 imports an ``oddcolor`` name outside ``if TYPE_CHECKING:``.
 """
 
@@ -14,7 +16,7 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from oddcolor.coloring import Coloring
@@ -228,6 +230,99 @@ def is_valid_drawing(d: OnePlanarDrawing) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# taxonomy
+
+
+class Taxonomy(NamedTuple):
+    easy: set[int]
+    special_2: set[int]
+    special_7: set[int]
+    face_class: list[str]  # the class of each walk of faces(d.rotation), by its string value
+
+
+def _special_7_ring(x: int, walks: Sequence[tuple[int, ...]], deg: Sequence[int], n: int) -> bool:
+    """Whether the 7-vertex x lies on triangles only, and its neighbors
+    v1..v7 in order around it, one way round or the other, are a vertex of
+    degree >= 10, a crossing vertex, a vertex of degree >= 7, a crossing
+    vertex, a vertex of degree >= 7, a crossing vertex and a 7-vertex.
+
+    The order around x is read off its triangles: a walk (p, x, s) turns
+    at x from the neighbor p to the next one, s.
+    """
+    if any(len(f) != 3 for f in walks if x in f):
+        return False
+    after = {f[i - 1]: f[(i + 1) % 3] for f in walks for i in range(3) if f[i] == x}
+    ring = [min(after)]
+    while len(ring) < len(after):
+        ring.append(after[ring[-1]])
+    for r in (ring, ring[::-1]):
+        for s in range(len(r)):
+            v1, v2, v3, v4, v5, v6, v7 = r[s:] + r[:s]
+            if min(v2, v4, v6) >= n and deg[v1] >= 10 and deg[v3] >= 7 and deg[v5] >= 7 and deg[v7] == 7:
+                return True
+    return False
+
+
+def taxonomy(d: OnePlanarDrawing) -> Taxonomy:
+    """Easy vertices, special 2- and 7-vertices and the class of each face walk.
+
+    Degrees are in G*, where a vertex of the base graph keeps its degree
+    and a crossing vertex has 4; a vertex at or above n is a crossing
+    vertex.  A vertex is easy when, in the base graph, its degree is at
+    most 6 or odd, or a neighbor's degree is at most 6.  A special
+    2-vertex is a 2-vertex on a 4-face; a special 7-vertex is as
+    ``_special_7_ring`` says.  A face is, the first that applies:
+
+    - poor3: a triangle of degrees 7, 7 and 10 or more whose 7-vertices are special;
+    - poor4: a 4-face read from some vertex as (u, z1, v, z2), with crossing
+      vertices z1 and z2, d(v) = 2, d(u) != 2 and easy far ends of u's
+      edges through z1 and z2;
+    - poor6: a 6-face read from some vertex as (u, z1, v, z2, w, z3), with
+      crossing vertices z1, z2 and z3, special 2-vertices v and w, and easy
+      far ends of u's edges through z1 and z3;
+    - semi_poor: a 4- or 5-face through a 2-vertex, or a face of degree 6
+      or more whose passes are all through crossing vertices, 2-vertices
+      and vertices of degree 8 or more, exactly one of them the last kind;
+    - ordinary.
+    """
+    n, adj, walks = d.base.n, gstar_adjacency(d), faces(d.rotation)
+    deg = [len(nbrs) for nbrs in adj]
+    base = adjacency(n, d.base.edges)
+    easy = {x for x, nbrs in enumerate(base) if len(nbrs) <= 6 or len(nbrs) % 2 or any(len(base[y]) <= 6 for y in nbrs)}
+    special_2 = {x for x in range(n) if deg[x] == 2 and any(len(f) == 4 for f in walks if x in f)}
+    special_7 = {x for x in range(n) if deg[x] == 7 and _special_7_ring(x, walks, deg, n)}
+
+    def far_end(z: int, u: int) -> int:
+        a, b = next(e for e in d.crossings[z - n] if u in e)
+        return a + b - u
+
+    classes = []
+    for f in walks:
+        turns = [f[i:] + f[:i] for i in range(len(f))]
+        ds = sorted(deg[x] for x in f)
+        if len(f) == 3 and ds[:2] == [7, 7] and ds[2] >= 10 and {x for x in f if deg[x] == 7} <= special_7:
+            cls = "poor3"
+        elif len(f) == 4 and any(
+            min(z1, z2) >= n and deg[v] == 2 and deg[u] != 2 and far_end(z1, u) in easy and far_end(z2, u) in easy
+            for u, z1, v, z2 in turns
+        ):
+            cls = "poor4"
+        elif len(f) == 6 and any(
+            min(z1, z2, z3) >= n and {v, w} <= special_2 and far_end(z1, u) in easy and far_end(z3, u) in easy
+            for u, z1, v, z2, w, z3 in turns
+        ):
+            cls = "poor6"
+        elif len(f) in (4, 5) and 2 in ds:
+            cls = "semi_poor"
+        elif len(f) >= 6 and sum(dx >= 8 for dx in ds) == 1 and all(x >= n or deg[x] == 2 or deg[x] >= 8 for x in f):
+            cls = "semi_poor"
+        else:
+            cls = "ordinary"
+        classes.append(cls)
+    return Taxonomy(easy, special_2, special_7, classes)
+
+
+# ---------------------------------------------------------------------------
 # charges
 
 Element = tuple[str, int]  # ("v", vertex of G*) or ("f", index of a face walk)
@@ -300,6 +395,34 @@ def discharge(d: OnePlanarDrawing, vt: VertexTags, ft: FaceTags) -> tuple[dict, 
             for x in specials:
                 give(("f", i), ("v", x), income[i] / len(specials), "R4")
     return mu, final, moves
+
+
+def explained_by(d: OnePlanarDrawing, violations: Mapping[str, Sequence[dict]], element: Element) -> list[str]:
+    """The lemmas, in order, that explain element, read from their witnesses.
+
+    A witness names the vertex under its "vertex" key, the ends of its
+    "edge" and the vertices of its "face" walk.  A lemma explains a vertex
+    when one of its witnesses names the vertex, and a face when a witness
+    names the face or one of the face's vertices.
+    """
+    walks = faces(d.rotation)
+
+    def named(witness: dict) -> set[int]:
+        out = set(witness.get("edge", ()))
+        if "vertex" in witness:
+            out.add(witness["vertex"])
+        if "face" in witness:
+            out.update(walks[witness["face"]])
+        return out
+
+    kind, x = element
+
+    def explains(witness: dict) -> bool:
+        if kind == "v":
+            return x in named(witness)
+        return witness.get("face") == x or bool(named(witness) & set(walks[x]))
+
+    return [lemma for lemma, witnesses in sorted(violations.items()) if any(map(explains, witnesses))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import importlib.util
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcolor import discharging
-from oddcolor.embedding import build_associated_plane_graph
+from oddcolor.embedding import build_associated_plane_graph, drawing_from_json
 from oddcolor.generators import random_one_planar
 from oddcolor.structure import FaceClass, classify_faces, classify_vertices, detect_lemma_violations
 from oddcolor.discharging import Transfer, View, apply_rules, audit, initial_charges, payment
@@ -14,11 +17,13 @@ from conftest import (
     crossed_k4_drawing,
     disjoint_union,
     plane_c5_drawing,
+    poor3_drawing,
     poor4_drawing,
+    poor6_drawing,
     semipoor4_drawing,
     semipoor5_drawing,
 )
-from reference import discharge
+from reference import discharge, explained_by
 from test_golden import FIXTURES, RANDOM, two_component_drawing
 
 
@@ -161,6 +166,9 @@ GOLDEN_DRAWINGS = {
     # 7-vertex a semi-poor 4-face
     "semipoor5-c8": lambda: semipoor5_drawing(c_leaves=6),
     "semipoor4": semipoor4_drawing,
+    # the only drawings with a poor 6-face and a poor 3-face
+    "poor6": poor6_drawing,
+    "poor3": poor3_drawing,
 }
 
 
@@ -249,3 +257,42 @@ def test_conserved_fails_when_a_transfer_crosses_components(monkeypatch):
     rep = discharging.audit(apg, vt, ft)
     assert [(c["sum_initial"], c["sum_final"]) for c in rep.component_sums] == [("-8", "-9"), ("-8", "-7")]
     assert rep.conserved is False
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _audit_drawings(count: int) -> dict:
+    """The first count drawings of the benchmark's seed-1 audit inputs, by
+    name; workloads.py is loaded by file path, as perfbench is no package."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses look their module up in sys.modules
+    return {inp.name: inp.text for inp in workloads.audit_shard(1, 0)[:count]}
+
+
+def _explained_negatives(d) -> list:
+    """Each negative element of d's audit with its explained_by and the reference's."""
+    apg, vt, ft = _pipeline(d)
+    lemmas = detect_lemma_violations(apg)
+    return [
+        (item["element"], item["explained_by"], explained_by(d, lemmas.violations, tuple(item["element"])))
+        for item in audit(apg, vt, ft, lemmas).negatives
+    ]
+
+
+@pytest.mark.parametrize("make", GOLDEN_DRAWINGS.values(), ids=GOLDEN_DRAWINGS)
+def test_explained_by_matches_the_reference_on_golden_drawings(make):
+    for element, got, want in _explained_negatives(make()):
+        assert got == want, element
+
+
+AUDIT_DRAWINGS = _audit_drawings(4)
+
+
+@pytest.mark.parametrize("text", AUDIT_DRAWINGS.values(), ids=AUDIT_DRAWINGS)
+def test_explained_by_matches_the_reference_on_audit_drawings(text):
+    negatives = _explained_negatives(drawing_from_json(text))
+    assert any(got for _, got, _ in negatives)
+    for element, got, want in negatives:
+        assert got == want, element

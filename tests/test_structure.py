@@ -1,8 +1,13 @@
-import pytest
+import random
+from operator import eq
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oddcolor import structure
 from oddcolor.graph import Graph
 from oddcolor.embedding import Face, OnePlanarDrawing, build_associated_plane_graph
-from oddcolor.generators import complete, cycle
+from oddcolor.generators import complete, cycle, random_one_planar
 from oddcolor.structure import (
     FaceClass,
     classify_faces,
@@ -11,12 +16,16 @@ from oddcolor.structure import (
     easy_vertices,
 )
 
+import reference
 from conftest import (
     plane_c5_drawing,
+    poor3_drawing,
     poor4_drawing,
+    poor6_drawing,
     semipoor5_drawing,
     special7_drawing,
 )
+from test_discharging import GOLDEN_DRAWINGS
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +269,91 @@ def test_special_7_tags_are_consistent(corpus, corpus_apgs):
             assert all(len(apg.faces[i]) == 3 for i in apg.faces_at(v))
         for v in vt.special_2:
             assert d.base.degree(v) == 2
+
+
+# ---------------------------------------------------------------------------
+# the reference taxonomy
+
+
+def _check_taxonomy_against_reference(d: OnePlanarDrawing) -> None:
+    """classify_vertices' easy and special vertices and classify_faces'
+    class of each face are those of reference.taxonomy."""
+    apg = build_associated_plane_graph(d)
+    vt = classify_vertices(apg)
+    ft = classify_faces(apg, vt)
+    ref = reference.taxonomy(d)
+    assert (vt.easy, vt.special_2, vt.special_7) == (ref.easy, ref.special_2, ref.special_7)
+    got = list(zip(apg.faces, (cls.value for cls in ft.face_class)))
+    assert got == list(zip(reference.faces(d.rotation), ref.face_class))
+
+
+@pytest.mark.parametrize("make", GOLDEN_DRAWINGS.values(), ids=GOLDEN_DRAWINGS)
+def test_taxonomy_matches_the_reference_on_golden_drawings(make):
+    _check_taxonomy_against_reference(make())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["zero", "default", "n"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_taxonomy_matches_the_reference_on_random_drawings(n, seed, cap, cut):
+    """Random drawings less up to half their edges: the cut makes the
+    2-vertices and semi-poor faces that the generator's own drawings lack."""
+    d = random_one_planar(n, seed=seed, crossings={"zero": 0, "default": None, "n": n}[cap])
+    rng = random.Random(cut)
+    for e in rng.sample(sorted(d.base.edges), rng.randint(0, len(d.base.edges) // 2)):
+        d = d.without_edge(*e)
+    _check_taxonomy_against_reference(d)
+
+
+def test_poor6_drawing_reaches_poor6():
+    d = poor6_drawing()
+    six = (0, 13, 1, 14, 2, 15)
+    assert reference.taxonomy(d).face_class[reference.faces(d.rotation).index(six)] == "poor6"
+    assert _face_classes(d)[six] == (FaceClass.POOR6, {"u": 0, "v": 1, "w": 2, "x": 3, "y": 4})
+
+
+def test_poor3_drawing_reaches_poor3():
+    d = poor3_drawing()
+    ref = reference.taxonomy(d)
+    assert ref.special_7 == {0, 4}
+    assert ref.face_class[reference.faces(d.rotation).index((0, 1, 4))] == "poor3"
+    assert _face_classes(d)[0, 1, 4] == (FaceClass.POOR3, {"special_7": [0, 4]})
+
+
+def test_special_7_ring_is_matched_from_any_neighbor_either_way_round():
+    ring = [10, structure.STAR, 7, structure.STAR, 8, structure.STAR, 7]
+    for shift in range(7):
+        turned = ring[shift:] + ring[:shift]
+        assert structure.matches_special_7(turned) and structure.matches_special_7(turned[::-1])
+    assert not structure.matches_special_7([9, *ring[1:]])
+    assert not structure.matches_special_7([10, 7, structure.STAR, *ring[3:]])
+
+
+def _taxonomy_check_fails(make) -> bool:
+    try:
+        _check_taxonomy_against_reference(make())
+    except AssertionError:
+        return True
+    return False
+
+
+def _perturbed(entry):
+    """A degree test one higher, or a crossing marker turned into the test
+    d = 4, the degree a crossing vertex has in G*."""
+    if entry == structure.STAR:
+        return eq, 4
+    relation, degree = entry
+    return relation, degree + 1
+
+
+@pytest.mark.parametrize("index", range(len(structure.SPECIAL_7)), ids=[f"v{i}" for i in range(1, 8)])
+def test_every_special_7_entry_is_held_to_the_reference(monkeypatch, index):
+    """Perturbing one entry of SPECIAL_7 breaks the reference taxonomy test
+    on at least one golden drawing."""
+    ring = structure.SPECIAL_7
+    monkeypatch.setattr(structure, "SPECIAL_7", (*ring[:index], _perturbed(ring[index]), *ring[index + 1:]))
+    assert any(_taxonomy_check_fails(make) for make in GOLDEN_DRAWINGS.values())
